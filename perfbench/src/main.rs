@@ -6,7 +6,7 @@
 //! and the metrics:
 //!
 //! ```text
-//! perfbench --workload <ghz_sweep|qft_dd|qft_dense|serve_mix> \
+//! perfbench --workload <ghz_sweep|qft_dd|qft_dense> \
 //!           --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
@@ -41,7 +41,7 @@ pub struct Args {
 }
 
 /// The workloads this benchmark defines.
-pub const WORKLOADS: [&str; 4] = ["ghz_sweep", "qft_dd", "qft_dense", "serve_mix"];
+pub const WORKLOADS: [&str; 3] = ["ghz_sweep", "qft_dd", "qft_dense"];
 
 /// One reported metric: name, value and unit.
 #[derive(Clone, Debug)]
@@ -165,11 +165,7 @@ fn main() -> ExitCode {
         metadata
     );
     let steal_before = meta::cpu_steal_s();
-    let outcome = match args.workload.as_str() {
-        "serve_mix" => serve::run(&args),
-        name => sim::run(name, &args),
-    };
-    let mut outcome = match outcome {
+    let mut outcome = match sim::run(&args.workload, &args) {
         Ok(outcome) => outcome,
         Err(message) => {
             eprintln!("perfbench: {message}");

@@ -1,51 +1,30 @@
-//! The serving workload: an open loop of independent users against an
-//! in-process `qsdd-server`, plus the serving-layer probe the traced runs
-//! of the simulation workloads use.
-//!
-//! Requests arrive on a fixed-rate schedule (request `i` is due at
-//! `i / rate`); a small pool of keep-alive connections takes the next due
-//! request whenever one is free, so a stalled connection makes later
-//! requests late rather than slowing the schedule. A request's latency runs
-//! from its due time to the arrival of its result body.
+//! The serving-layer probe of the traced runs: the workload's circuits,
+//! plus one inline-OpenQASM job at opt 2 and one weighted job, submitted to
+//! an in-process `qsdd-server` with a durable store, each once cold and once
+//! cached. It times the HTTP round trips, reads the job envelopes, the
+//! program's spans and `/v1/stats` and `/v1/metrics`, and checks that the
+//! cold reply, the cached reply, an in-process run of the same job and the
+//! reply a restarted server restores from its store are byte-identical.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use qsdd_circuit::{generators, qasm};
-use qsdd_core::{run_engine_in, run_engine_weighted_in, BackendKind, ShotEngine, Stage};
+use qsdd_core::{run_engine_in, run_engine_weighted_in, BackendKind, ShotEngine};
 use qsdd_server::client::Client;
 use qsdd_server::{client, parse_job_request, result_payload, Server, ServerConfig};
 
 use crate::checks::Checks;
-use crate::layers::{self, LayerTotals, ProbeJob};
-use crate::stats::{median, mix, quantile};
-use crate::{Args, Outcome};
+use crate::stats::{median, quantile};
+use crate::Outcome;
 
-/// Server workers and client connections (`nproc` on the reference
-/// machine).
+/// Server workers (`nproc` on the reference machine).
 const WORKERS: usize = 2;
-const CONNECTIONS: usize = 2;
-/// Distinct jobs in the hit pool (far below the cache's 1024 entries).
-const POOL: usize = 16;
-/// Share of requests that repeat a pool job, in percent.
-const HIT_PERCENT: u64 = 80;
-/// The nominal open-loop rate of the latency metrics.
-const NOMINAL_RPS: f64 = 150.0;
-/// The fixed rate ladder of `sustained_rps` and its latency limit.
-const LADDER_RPS: [f64; 4] = [720.0, 880.0, 1070.0, 1300.0];
-const P99_LIMIT_MS: f64 = 50.0;
-/// The queued miss bursts behind `shots_per_s`: how many, of how many
-/// jobs each.
-const BURSTS: usize = 5;
-const BURST_JOBS: usize = 160;
-/// Server restarts whose median is `setup_s`.
-const SETUP_REPS: usize = 5;
 /// Pauses between status polls of a queued job: the first, and the cap
 /// the doubling backoff stops at.
 const POLL_FIRST: Duration = Duration::from_micros(250);
 const POLL_CAP: Duration = Duration::from_millis(2);
-/// Spacing of the serving probe's schedule.
+/// Spacing of the probe's schedule.
 const PROBE_SPACING: Duration = Duration::from_millis(250);
 /// A request not answered within this is a failure.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(20);
@@ -67,101 +46,8 @@ pub fn generator_body(
     )
 }
 
-/// One job of the mix.
-#[derive(Clone, Debug)]
-struct MixJob {
-    body: String,
-    shots: u64,
-}
-
-/// A miss job of the mix: one of five templates, all at most 12 qubits
-/// and 2000 shots. The template and size depend on `index` alone, so every
-/// seed runs the same job shapes in the same order; the seed picks the
-/// jobs' simulation seeds (and, in [`schedule`], which requests are hits).
-fn miss_job(seed: u64, index: u64) -> MixJob {
-    let draw = mix(0x5EED_5A9E, index);
-    let job_seed = mix(seed, 1_000_000 + index) % 1_000_000_007;
-    let qubits = 8 + (draw >> 8) as usize % 5;
-    let (body, shots) = match draw % 100 {
-        // Generator circuits on the decision-diagram back-end.
-        0..=44 => {
-            let shots = [500, 1000, 2000][(draw >> 16) as usize % 3];
-            (
-                generator_body("ghz", qubits, BackendKind::DecisionDiagram, shots, job_seed),
-                shots,
-            )
-        }
-        45..=54 => {
-            let n = 8 + (draw >> 8) as usize % 3;
-            (
-                generator_body("wstate", n, BackendKind::DecisionDiagram, 500, job_seed),
-                500,
-            )
-        }
-        // Inline OpenQASM through the opt-2 transpiler.
-        55..=79 => {
-            let n = 5 + (draw >> 8) as usize % 3;
-            let shots = [200, 400][(draw >> 16) as usize % 2];
-            let source = qasm::write_source(&generators::qft(n)).expect("QFT is OpenQASM 2.0");
-            (
-                format!(
-                    r#"{{"circuit":{{"qasm":{}}},"shots":{shots},"seed":{job_seed},"opt":2}}"#,
-                    qsdd_json::Value::from(source.as_str())
-                ),
-                shots,
-            )
-        }
-        // Weighted trajectory enumeration.
-        80..=89 => (
-            format!(
-                r#"{{"circuit":{{"generator":"ghz","qubits":{qubits}}},"shots":1000,"seed":{job_seed},"weighted":true}}"#
-            ),
-            1000,
-        ),
-        // The dense back-end.
-        _ => (
-            generator_body("ghz", 8, BackendKind::Statevector, 200, job_seed),
-            200,
-        ),
-    };
-    MixJob { body, shots }
-}
-
-/// The hit pool: [`POOL`] jobs drawn like misses from a reserved range.
-fn pool_jobs(seed: u64) -> Vec<MixJob> {
-    (0..POOL as u64)
-        .map(|i| miss_job(seed ^ 0x9001, i))
-        .collect()
-}
-
-/// What a request is.
-#[derive(Clone, Copy, Debug)]
-enum Kind {
-    Hit(usize),
-    Miss,
-}
-
-/// The seeded request schedule: `count` requests, about [`HIT_PERCENT`]
-/// of them pool repeats, the rest fresh misses numbered from `first_miss`.
-fn schedule(seed: u64, count: usize, first_miss: u64) -> Vec<(Kind, MixJob)> {
-    let pool = pool_jobs(seed);
-    let mut misses = first_miss;
-    (0..count as u64)
-        .map(|i| {
-            let draw = mix(seed ^ 0x5C4E_D01E, first_miss * 7919 + i);
-            if draw % 100 < HIT_PERCENT {
-                let slot = (draw >> 8) as usize % POOL;
-                (Kind::Hit(slot), pool[slot].clone())
-            } else {
-                misses += 1;
-                (Kind::Miss, miss_job(seed, misses))
-            }
-        })
-        .collect()
-}
-
 /// A finished request.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct Fetched {
     id: String,
     cached: bool,
@@ -243,113 +129,6 @@ fn await_completion(conn: &mut Client, id: &str) -> Result<(String, u64, f64), S
     }
 }
 
-/// The outcome of one open-loop pass.
-#[derive(Debug, Default)]
-struct Pass {
-    /// Due-to-result latency of every request; a failed request counts as
-    /// [`REQUEST_TIMEOUT`], so it misses any latency limit.
-    latency_ms: Vec<f64>,
-    late_ms: Vec<f64>,
-    sent: u64,
-    failed: u64,
-    /// Successful requests in schedule order, with their index.
-    fetched: Vec<(usize, Fetched)>,
-}
-
-/// Sleeps until shortly before `due`, then yields until it: a sleeping
-/// thread wakes late by a scheduler-dependent amount, which would
-/// otherwise be measured as request latency.
-fn wait_until(due: Instant) {
-    const SPIN: Duration = Duration::from_micros(300);
-    let now = Instant::now();
-    if due > now + SPIN {
-        std::thread::sleep(due - now - SPIN);
-    }
-    while Instant::now() < due {
-        std::thread::yield_now();
-    }
-}
-
-/// Runs `requests` over [`CONNECTIONS`] keep-alive connections on the
-/// fixed-rate schedule. Hits must answer with the pool's cold payload.
-fn drive(
-    addr: std::net::SocketAddr,
-    requests: &[(Kind, MixJob)],
-    rate: f64,
-    pool_payloads: &[String],
-) -> Result<Pass, String> {
-    let next = AtomicUsize::new(0);
-    let started = Instant::now();
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..CONNECTIONS)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || -> Result<Pass, String> {
-                    let mut conn = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-                    let mut pass = Pass::default();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::SeqCst);
-                        let Some((kind, job)) = requests.get(index) else {
-                            return Ok(pass);
-                        };
-                        let due = started + Duration::from_secs_f64(index as f64 / rate);
-                        wait_until(due);
-                        let sent = Instant::now();
-                        pass.late_ms
-                            .push(sent.saturating_duration_since(due).as_secs_f64() * 1e3);
-                        pass.sent += 1;
-                        let answer = submit_and_fetch(&mut conn, &job.body);
-                        let latency = due.elapsed().as_secs_f64() * 1e3;
-                        let verdict = answer.and_then(|fetched| {
-                            if let Kind::Hit(slot) = kind {
-                                if fetched.payload() != Some(pool_payloads[*slot].as_str()) {
-                                    return Err(format!(
-                                        "pool job {slot} answered different bytes"
-                                    ));
-                                }
-                            }
-                            Ok(fetched)
-                        });
-                        match verdict {
-                            Ok(fetched) => {
-                                pass.latency_ms.push(latency);
-                                pass.fetched.push((index, fetched));
-                            }
-                            Err(message) => {
-                                eprintln!("perfbench: request {index} failed: {message}");
-                                pass.failed += 1;
-                                pass.latency_ms.push(REQUEST_TIMEOUT.as_secs_f64() * 1e3);
-                                // A failed exchange may leave the connection
-                                // mid-response; start a fresh one.
-                                conn =
-                                    Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle
-                    .join()
-                    .map_err(|_| "a connection thread panicked".to_string())?
-            })
-            .collect::<Result<Vec<Pass>, String>>()
-    })?;
-    let mut pass = Pass::default();
-    for part in results {
-        pass.latency_ms.extend(part.latency_ms);
-        pass.late_ms.extend(part.late_ms);
-        pass.sent += part.sent;
-        pass.failed += part.failed;
-        pass.fetched.extend(part.fetched);
-    }
-    pass.fetched.sort_by_key(|(index, _)| *index);
-    Ok(pass)
-}
-
 /// A temporary directory inside the checkout, removed on drop.
 struct TempDir(PathBuf);
 
@@ -374,19 +153,19 @@ impl Drop for TempDir {
     }
 }
 
-/// Starts a server on `store` and waits for its first healthy answer;
-/// returns the server and the time from `Server::start` to that answer.
-fn start_server(threads: usize, store: Option<&TempDir>) -> Result<(Server, Duration), String> {
+/// Starts a two-worker server on `store` and waits for its first healthy
+/// answer.
+fn start_server(store: &TempDir) -> Result<Server, String> {
     let started = Instant::now();
     let server = Server::start(ServerConfig {
-        threads,
-        store_dir: store.map(TempDir::path),
+        threads: WORKERS,
+        store_dir: Some(store.path()),
         ..ServerConfig::default()
     })
     .map_err(|e| format!("server start: {e}"))?;
     loop {
         match client::request(server.addr(), "GET", "/v1/healthz", None) {
-            Ok((200, _)) => return Ok((server, started.elapsed())),
+            Ok((200, _)) => return Ok(server),
             _ if started.elapsed() > Duration::from_secs(10) => {
                 server.shutdown_and_join();
                 return Err("server never became healthy".to_string());
@@ -394,29 +173,6 @@ fn start_server(threads: usize, store: Option<&TempDir>) -> Result<(Server, Dura
             _ => std::thread::sleep(Duration::from_micros(100)),
         }
     }
-}
-
-/// Submits every pool job once and returns their cold payloads.
-fn warm_pool(
-    addr: std::net::SocketAddr,
-    pool: &[MixJob],
-    checks: &mut Checks,
-) -> Result<Vec<String>, String> {
-    let mut conn = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let mut payloads = Vec::with_capacity(pool.len());
-    for job in pool {
-        let fetched = submit_and_fetch(&mut conn, &job.body);
-        let payload = fetched
-            .as_ref()
-            .ok()
-            .and_then(|f| f.payload())
-            .map(str::to_string);
-        checks.check("pool job completes", payload.is_some(), || {
-            format!("{fetched:?}")
-        });
-        payloads.push(payload.unwrap_or_default());
-    }
-    Ok(payloads)
 }
 
 /// The in-process run of a job body through the server's own parse,
@@ -446,247 +202,7 @@ fn in_process_payload(body: &str) -> Result<String, String> {
     Ok(result_payload(&input, &outcome))
 }
 
-/// Byte-identity of cold, cached and in-process replies for `sample`.
-fn identity_checks(
-    addr: std::net::SocketAddr,
-    sample: &[(MixJob, String)],
-    checks: &mut Checks,
-) -> Result<(), String> {
-    let mut conn = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    for (job, cold) in sample {
-        let cached = submit_and_fetch(&mut conn, &job.body);
-        let cached_ok = matches!(&cached, Ok(f) if f.cached && f.payload() == Some(cold.as_str()));
-        checks.check("cached reply equals cold reply", cached_ok, || {
-            format!("{}: {cached:?}", job.body)
-        });
-        let local = in_process_payload(&job.body);
-        let local_ok = matches!(&local, Ok(p) if p == cold);
-        checks.check("in-process run equals cold reply", local_ok, || {
-            format!("{}: {local:?} vs {cold}", job.body)
-        });
-    }
-    Ok(())
-}
-
-/// `p99` of a step, and whether it met the limit with no failures and no
-/// growing backlog (the last quarter's median lateness stays within twice
-/// the first quarter's plus 5 ms).
-fn step_verdict(pass: &Pass) -> (f64, bool) {
-    let p99 = quantile(&pass.latency_ms, 0.99);
-    let quarter = (pass.late_ms.len() / 4).max(1);
-    let first = median(&pass.late_ms[..quarter]);
-    let last = median(&pass.late_ms[pass.late_ms.len() - quarter..]);
-    let steady = last <= 2.0 * first + 5.0;
-    (p99, pass.failed == 0 && p99 <= P99_LIMIT_MS && steady)
-}
-
-/// The highest ladder rate meeting the limit, interpolated in log-rate
-/// between the last passing and the first failing step on their `p99`.
-fn sustained(steps: &[(f64, f64, bool)]) -> f64 {
-    match steps.iter().position(|&(_, _, ok)| !ok) {
-        // Even the lowest step failed: scale it down by its overshoot.
-        Some(0) => {
-            let (rate, p99, _) = steps[0];
-            rate * (P99_LIMIT_MS / p99.max(P99_LIMIT_MS))
-        }
-        Some(first_fail) => {
-            let (low_rate, low_p99, _) = steps[first_fail - 1];
-            let (high_rate, high_p99, _) = steps[first_fail];
-            let span = (high_p99 - low_p99).max(1e-9);
-            let frac = ((P99_LIMIT_MS - low_p99) / span).clamp(0.0, 1.0);
-            (low_rate.ln() + frac * (high_rate.ln() - low_rate.ln())).exp()
-        }
-        // Every step passed: the top step, scaled up by its headroom (at
-        // most by the ladder's own step ratio).
-        None => {
-            let &(rate, p99, _) = steps.last().expect("a non-empty ladder");
-            rate * (P99_LIMIT_MS / p99.max(1e-3)).min(1.25)
-        }
-    }
-}
-
-/// The server's simulation throughput: every job of `jobs` is submitted
-/// up front on one connection (so the workers never wait on the client),
-/// then polled to completion; shots completed per second from the first
-/// submission to the last result.
-fn burst(addr: std::net::SocketAddr, jobs: &[MixJob], checks: &mut Checks) -> Result<f64, String> {
-    let mut conn = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let started = Instant::now();
-    let mut ids = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let (status, reply) = conn
-            .request("POST", "/v1/jobs", Some(&job.body))
-            .map_err(|e| format!("POST: {e}"))?;
-        ids.push(
-            (status == 202)
-                .then(|| string_field(&reply, "id").map(str::to_string))
-                .flatten(),
-        );
-    }
-    // Workers take jobs in submission order, so the last one finishes last
-    // or nearly so: waiting on it alone keeps polling off the busy cores.
-    if let Some(Some(last)) = ids.last() {
-        let _ = await_completion(&mut conn, last);
-    }
-    let mut wall = started.elapsed();
-    let mut failed = 0;
-    for id in &ids {
-        match id.as_deref().map(|id| await_completion(&mut conn, id)) {
-            // A job still running after the last one ends the burst later.
-            Some(Ok((_, polls, _))) if polls > 1 => wall = started.elapsed(),
-            Some(Ok(_)) => {}
-            _ => failed += 1,
-        }
-    }
-    checks.add(jobs.len() as u64, failed);
-    let shots: u64 = jobs.iter().map(|job| job.shots).sum();
-    Ok(shots as f64 / wall.as_secs_f64())
-}
-
-/// Burst `k`'s jobs: fresh misses of the same shapes in every burst and
-/// for every seed, so bursts differ only in their simulation seeds.
-fn burst_jobs(seed: u64, k: usize) -> Vec<MixJob> {
-    (0..BURST_JOBS as u64)
-        .map(|i| miss_job(mix(seed ^ 0xB0B5, k as u64), i))
-        .collect()
-}
-
-/// The median rate of [`BURSTS`] bursts of fresh jobs, each against a
-/// fresh server with `threads` workers (a server slows as its cache
-/// fills, which would make later bursts slower than earlier ones). The
-/// servers run without a store: every append syncs to disk, and on a
-/// shared disk the flush latency would swamp the simulation throughput
-/// this measures (the latency phases and `store.append_ms_p50` keep the
-/// store in view).
-fn burst_rate(threads: usize, seed: u64, checks: &mut Checks) -> Result<f64, String> {
-    let mut rates = Vec::with_capacity(BURSTS);
-    for k in 0..BURSTS {
-        let (server, _) = start_server(threads, None)?;
-        rates.push(burst(server.addr(), &burst_jobs(seed, k), checks)?);
-        server.shutdown_and_join();
-    }
-    Ok(median(&rates))
-}
-
-pub fn run(args: &Args) -> Result<Outcome, String> {
-    if args.trace {
-        return run_traced(args);
-    }
-    let mut checks = Checks::new();
-    let store = TempDir::new("serve-2w")?;
-    let (server, _) = start_server(WORKERS, Some(&store))?;
-    let addr = server.addr();
-    let pool = pool_jobs(args.seed);
-    let pool_payloads = warm_pool(addr, &pool, &mut checks)?;
-
-    // Nominal rate: the latency metrics.
-    let budget = args.seconds.as_secs_f64();
-    let nominal_count = (NOMINAL_RPS * budget * 0.3) as usize;
-    let nominal = schedule(args.seed, nominal_count, 0);
-    let pass = drive(addr, &nominal, NOMINAL_RPS, &pool_payloads)?;
-    checks.add(pass.sent, pass.failed);
-    let hits = nominal
-        .iter()
-        .filter(|(kind, _)| matches!(kind, Kind::Hit(_)))
-        .count();
-    println!(
-        "# nominal: rate={NOMINAL_RPS} sent={} ok={} failed={} hits={hits} misses={} p50_ms={:.3} p99_ms={:.3} late_p99_ms={:.3}",
-        pass.sent,
-        pass.latency_ms.len(),
-        pass.failed,
-        nominal.len() - hits,
-        median(&pass.latency_ms),
-        quantile(&pass.latency_ms, 0.99),
-        quantile(&pass.late_ms, 0.99)
-    );
-    let req_p50 = median(&pass.latency_ms);
-    let req_p99 = quantile(&pass.latency_ms, 0.99);
-    // The first misses of the nominal pass anchor the identity checks.
-    let sample: Vec<(MixJob, String)> = pass
-        .fetched
-        .iter()
-        .filter(|(index, _)| matches!(nominal[*index].0, Kind::Miss))
-        .take(6)
-        .filter_map(|(index, fetched)| {
-            Some((nominal[*index].1.clone(), fetched.payload()?.to_string()))
-        })
-        .collect();
-
-    identity_checks(addr, &sample, &mut checks)?;
-    server.shutdown_and_join();
-
-    // Restarts on the populated store (whose records the schedule fixes):
-    // set-up time, and restored bytes. The last restart serves the ladder.
-    let mut setups = Vec::with_capacity(SETUP_REPS);
-    let mut restarted = None;
-    for rep in 0..SETUP_REPS {
-        let (server, setup) = start_server(WORKERS, Some(&store))?;
-        setups.push(setup.as_secs_f64());
-        if rep == 0 {
-            let mut conn = Client::connect(server.addr()).map_err(|e| format!("connect: {e}"))?;
-            for (job, cold) in &sample {
-                let restored = submit_and_fetch(&mut conn, &job.body);
-                let ok =
-                    matches!(&restored, Ok(f) if f.cached && f.payload() == Some(cold.as_str()));
-                checks.check("restored reply equals cold reply", ok, || {
-                    format!("{restored:?}")
-                });
-            }
-        }
-        if rep + 1 == SETUP_REPS {
-            restarted = Some(server);
-        } else {
-            server.shutdown_and_join();
-        }
-    }
-    let server = restarted.expect("at least one restart");
-    let addr = server.addr();
-
-    // The rate ladder.
-    let step_secs = budget * 0.09;
-    let mut steps = Vec::new();
-    for (step, &rate) in LADDER_RPS.iter().enumerate() {
-        let count = (rate * step_secs) as usize;
-        let requests = schedule(args.seed, count, 100_000 * (step as u64 + 1));
-        let pass = drive(addr, &requests, rate, &pool_payloads)?;
-        checks.add(pass.sent, pass.failed);
-        let (p99, ok) = step_verdict(&pass);
-        println!(
-            "# ladder: rate={rate} sent={} ok={} failed={} p99_ms={p99:.3} late_p50_ms={:.3} pass={ok}",
-            pass.sent,
-            pass.latency_ms.len(),
-            pass.failed,
-            median(&pass.late_ms)
-        );
-        // Every step runs, so the store and cache end each run with the
-        // same records whatever the verdicts.
-        steps.push((rate, p99, ok));
-    }
-    let sustained_rps = sustained(&steps);
-    server.shutdown_and_join();
-
-    // Queued miss bursts: the server's simulation throughput on two
-    // workers and on one.
-    let shots_per_s = burst_rate(WORKERS, args.seed, &mut checks)?;
-    let shots_per_s_1w = burst_rate(1, args.seed, &mut checks)?;
-
-    println!(
-        "# counters: pool={POOL} hit_share_nominal={:.4} bursts={BURSTS}x{BURST_JOBS} burst_shots={} ladder_steps={}",
-        hits as f64 / nominal.len() as f64,
-        (0..BURSTS).flat_map(|k| burst_jobs(args.seed, k)).map(|job| job.shots).sum::<u64>(),
-        steps.len()
-    );
-    let mut out = Outcome::new(checks);
-    out.push("shots_per_s", shots_per_s, "1/s");
-    out.push("shots_per_s_1w", shots_per_s_1w, "1/s");
-    out.push("setup_s", median(&setups), "s");
-    out.push("req_p50_ms", req_p50, "ms");
-    out.push("req_p99_ms", req_p99, "ms");
-    out.push("sustained_rps", sustained_rps, "1/s");
-    Ok(out)
-}
-
-/// Serving-layer figures gathered from one traced pass.
+/// Serving-layer figures gathered from the probe.
 #[derive(Debug, Default)]
 pub struct ServerFigures {
     submit_ms: Vec<f64>,
@@ -698,12 +214,9 @@ pub struct ServerFigures {
     fetched: u64,
     cache_hits: u64,
     accepted: u64,
-    rejected: u64,
     append_ms: Vec<f64>,
     appends_counted: u64,
     requests: u64,
-    /// Worker busy time: the program's `execute` spans of the jobs read.
-    busy_ns: u64,
 }
 
 impl ServerFigures {
@@ -731,63 +244,54 @@ impl ServerFigures {
             self.polls as f64 / self.fetched.max(1) as f64,
             "1/job",
         );
-        out.push("server.rejected", self.rejected as f64, "count");
         out.push("server.requests", self.requests as f64, "count");
         out.push("store.append_ms_p50", median(&self.append_ms), "ms");
         out.push("store.appends", self.appends_counted as f64, "count");
         out.push("gen.late_ms_p99", quantile(&self.late_ms, 0.99), "ms");
     }
 
-    /// Folds a pass's client-side timings and envelope stage timings in.
-    fn absorb(&mut self, pass: &Pass) -> Result<(), String> {
-        self.late_ms.extend(&pass.late_ms);
-        self.requests += pass.sent;
-        for (_, fetched) in &pass.fetched {
-            self.submit_ms.push(fetched.submit_ms);
-            self.get_ms.push(fetched.get_ms);
-            self.polls += fetched.polls;
-            self.fetched += 1;
-            if fetched.cached {
-                continue;
-            }
-            let envelope =
-                qsdd_json::parse(&fetched.envelope).map_err(|e| format!("envelope: {e:?}"))?;
-            let timing = |key: &str| {
-                envelope
-                    .get("timings")
-                    .and_then(|t| t.get(key))
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or(0.0)
-                    * 1e3
-            };
-            self.queue_wait_ms.push(timing("queue_wait"));
-            self.execute_ms.push(timing("execute"));
+    /// Folds in a fetched reply's client-side timings and, for a job the
+    /// server executed, its envelope's stage timings.
+    fn absorb(&mut self, fetched: &Fetched) -> Result<(), String> {
+        self.submit_ms.push(fetched.submit_ms);
+        self.get_ms.push(fetched.get_ms);
+        self.polls += fetched.polls;
+        self.fetched += 1;
+        if fetched.cached {
+            return Ok(());
         }
+        let envelope =
+            qsdd_json::parse(&fetched.envelope).map_err(|e| format!("envelope: {e:?}"))?;
+        let timing = |key: &str| {
+            envelope
+                .get("timings")
+                .and_then(|t| t.get(key))
+                .and_then(|v| v.as_f64())
+                .unwrap_or(0.0)
+                * 1e3
+        };
+        self.queue_wait_ms.push(timing("queue_wait"));
+        self.execute_ms.push(timing("execute"));
         Ok(())
     }
 
-    /// Reads the program's span tree of every executed job of `pass`: its
-    /// `execute` span (worker busy time) and `store_append` span.
-    fn read_traces(&mut self, addr: std::net::SocketAddr, pass: &Pass) -> Result<(), String> {
-        let mut conn = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-        for (_, fetched) in pass.fetched.iter().filter(|(_, f)| !f.cached) {
-            let path = format!("/v1/jobs/{}/trace", fetched.id);
-            let (status, body) = conn
-                .request("GET", &path, None)
-                .map_err(|e| e.to_string())?;
-            if status != 200 {
-                // Coalesced or restored jobs executed elsewhere.
-                continue;
-            }
-            let trace = qsdd_json::parse(&body).map_err(|e| format!("trace: {e:?}"))?;
-            for span in trace.get("spans").and_then(|s| s.as_array()).unwrap_or(&[]) {
+    /// Reads the program's span tree of an executed job: the duration of
+    /// its `store_append` span.
+    fn read_trace(&mut self, conn: &mut Client, fetched: &Fetched) -> Result<(), String> {
+        let path = format!("/v1/jobs/{}/trace", fetched.id);
+        let (status, body) = conn
+            .request("GET", &path, None)
+            .map_err(|e| e.to_string())?;
+        if status != 200 {
+            // A coalesced job executed under another id.
+            return Ok(());
+        }
+        let trace = qsdd_json::parse(&body).map_err(|e| format!("trace: {e:?}"))?;
+        for span in trace.get("spans").and_then(|s| s.as_array()).unwrap_or(&[]) {
+            if span.get("name").and_then(|n| n.as_str()) == Some("store_append") {
                 let field = |key: &str| span.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
                 let ns = field("end_ns").saturating_sub(field("start_ns"));
-                match span.get("name").and_then(|n| n.as_str()) {
-                    Some("execute") => self.busy_ns += ns,
-                    Some("store_append") => self.append_ms.push(ns as f64 / 1e6),
-                    _ => {}
-                }
+                self.append_ms.push(ns as f64 / 1e6);
             }
         }
         Ok(())
@@ -801,7 +305,6 @@ impl ServerFigures {
         let count = |key: &str| stats.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
         self.cache_hits = count("cache_hits");
         self.accepted = count("jobs_accepted");
-        self.rejected = count("rejected_jobs");
         let (_, metrics) =
             client::request(addr, "GET", "/v1/metrics", None).map_err(|e| e.to_string())?;
         self.appends_counted = metrics
@@ -814,231 +317,95 @@ impl ServerFigures {
     }
 }
 
-/// The serving layers on a fixed set of job bodies: each body submitted
-/// cold and then again (a cache hit), on a gentle fixed-rate schedule,
-/// against a fresh two-worker server with a durable store.
+/// The serving paths a simulation workload does not take: a QFT-6 written
+/// as inline OpenQASM through the opt-2 transpiler, and a weighted GHZ-10.
+pub fn path_bodies(seed: u64) -> Vec<String> {
+    let source = qasm::write_source(&generators::qft(6)).expect("QFT is OpenQASM 2.0");
+    vec![
+        format!(
+            r#"{{"circuit":{{"qasm":{}}},"shots":400,"seed":{seed},"opt":2}}"#,
+            qsdd_json::Value::from(source.as_str())
+        ),
+        format!(
+            r#"{{"circuit":{{"generator":"ghz","qubits":10}},"shots":1000,"seed":{seed},"weighted":true}}"#
+        ),
+    ]
+}
+
+/// Submits every body of `bodies` once on one connection (so a cold
+/// submission stays ahead of its repeat), `PROBE_SPACING` apart; failures
+/// count into `checks` and leave `None`.
+fn submit_all(
+    conn: &mut Client,
+    bodies: &[String],
+    late_ms: &mut Vec<f64>,
+    checks: &mut Checks,
+) -> Vec<Option<Fetched>> {
+    let started = Instant::now();
+    let mut replies = Vec::with_capacity(bodies.len());
+    for (index, body) in bodies.iter().enumerate() {
+        let due = started + PROBE_SPACING * index as u32;
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        late_ms.push(due.elapsed().as_secs_f64() * 1e3);
+        let reply = submit_and_fetch(conn, body);
+        checks.check("probe request completes", reply.is_ok(), || {
+            format!("{body}: {reply:?}")
+        });
+        replies.push(reply.ok());
+    }
+    replies
+}
+
+/// The serving layers on `bodies`: each submitted cold and then again (a
+/// cache hit) against a fresh two-worker server with a durable store. The
+/// cached reply, an in-process run of the job and the reply of a server
+/// restarted on the same store must all equal the cold reply byte for
+/// byte.
 pub fn probe_server(bodies: &[String], checks: &mut Checks) -> Result<ServerFigures, String> {
     let store = TempDir::new("probe")?;
-    let (server, _) = start_server(WORKERS, Some(&store))?;
-    let requests: Vec<(Kind, MixJob)> = bodies
-        .iter()
-        .chain(bodies)
-        .map(|body| {
-            (
-                Kind::Miss,
-                MixJob {
-                    body: body.clone(),
-                    shots: 0,
-                },
-            )
-        })
-        .collect();
+    let server = start_server(&store)?;
     let mut figures = ServerFigures::default();
-    // One connection keeps the cold submission ahead of its repeat.
     let mut conn = Client::connect(server.addr()).map_err(|e| format!("connect: {e}"))?;
-    let started = Instant::now();
-    let mut pass = Pass::default();
-    for (index, (_, job)) in requests.iter().enumerate() {
-        let due = started + PROBE_SPACING * index as u32;
-        wait_until(due);
-        pass.late_ms.push(due.elapsed().as_secs_f64() * 1e3);
-        pass.sent += 1;
-        match submit_and_fetch(&mut conn, &job.body) {
-            Ok(fetched) => pass.fetched.push((index, fetched)),
-            Err(message) => {
-                eprintln!("perfbench: probe request failed: {message}");
-                pass.failed += 1;
-            }
+    let cold = submit_all(&mut conn, bodies, &mut figures.late_ms, checks);
+    let cached = submit_all(&mut conn, bodies, &mut figures.late_ms, checks);
+    figures.requests = 2 * bodies.len() as u64;
+    for (body, (cold, cached)) in bodies.iter().zip(cold.iter().zip(&cached)) {
+        let Some(cold) = cold else { continue };
+        figures.absorb(cold)?;
+        figures.read_trace(&mut conn, cold)?;
+        let cold_payload = cold.payload();
+        if let Some(cached) = cached {
+            figures.absorb(cached)?;
+            let ok = cached.cached && cached.payload() == cold_payload;
+            checks.check("cached reply equals cold reply", ok, || body.clone());
         }
+        let local = in_process_payload(body);
+        let ok = matches!((&local, cold_payload), (Ok(p), Some(c)) if p == c);
+        checks.check("in-process run equals cold reply", ok, || {
+            format!("{body}: {local:?} vs {cold_payload:?}")
+        });
     }
-    checks.add(pass.sent, pass.failed);
-    let half = bodies.len();
-    for (index, fetched) in &pass.fetched {
-        if *index >= half {
-            let cold = pass.fetched.iter().find(|(i, _)| *i == index - half);
-            let ok = fetched.cached && cold.is_some_and(|(_, c)| c.payload() == fetched.payload());
-            checks.check("probe cached reply equals cold reply", ok, || {
-                bodies[index - half].clone()
-            });
-        }
-    }
-    figures.absorb(&pass)?;
-    figures.read_traces(server.addr(), &pass)?;
     figures.scrape(server.addr())?;
     server.shutdown_and_join();
-    Ok(figures)
-}
 
-/// The traced run of the serving mix.
-fn run_traced(args: &Args) -> Result<Outcome, String> {
-    let mut checks = Checks::new();
-    let store = TempDir::new("serve-traced")?;
-    let (server, _) = start_server(WORKERS, Some(&store))?;
-    let addr = server.addr();
-    let pool = pool_jobs(args.seed);
-    let pool_payloads = warm_pool(addr, &pool, &mut checks)?;
-    let count = (NOMINAL_RPS * args.seconds.as_secs_f64() * 0.3) as usize;
-
-    // Untraced then traced pass of equal length and mix at the nominal
-    // rate; the traced one parses every envelope.
-    let plain = schedule(args.seed, count, 0);
-    let plain_pass = drive(addr, &plain, NOMINAL_RPS, &pool_payloads)?;
-    checks.add(plain_pass.sent, plain_pass.failed);
-    let traced = schedule(args.seed, count, 500_000);
-    let started = Instant::now();
-    let pass = drive(addr, &traced, NOMINAL_RPS, &pool_payloads)?;
-    let traced_wall = started.elapsed();
-    checks.add(pass.sent, pass.failed);
-    let mut figures = ServerFigures::default();
-    figures.absorb(&pass)?;
-    figures.scrape(addr)?;
-
-    figures.read_traces(addr, &pass)?;
+    // A restart on the same store answers every job from its records.
+    let server = start_server(&store)?;
+    let mut conn = Client::connect(server.addr()).map_err(|e| format!("connect: {e}"))?;
+    for (body, cold) in bodies.iter().zip(&cold) {
+        let Some(cold) = cold else { continue };
+        let restored = submit_and_fetch(&mut conn, body);
+        let ok = matches!(&restored, Ok(f) if f.cached && f.payload() == cold.payload());
+        checks.check("restored reply equals cold reply", ok, || {
+            format!("{body}: {restored:?}")
+        });
+    }
     server.shutdown_and_join();
-    let idle = 1.0 - figures.busy_ns as f64 / (WORKERS as f64 * traced_wall.as_nanos() as f64);
-    let misses: Vec<MixJob> = pass
-        .fetched
-        .iter()
-        .filter(|(_, fetched)| !fetched.cached)
-        .map(|(index, _)| traced[*index].1.clone())
-        .collect();
-
-    // Layer replays of the pass's miss jobs, parsed as the server parses
-    // them; weighted jobs replay through the deduplicating path.
-    let mut totals = LayerTotals::default();
-    let mut aggregate = Duration::ZERO;
-    for (index, job) in misses.iter().take(24).enumerate() {
-        let input = parse_job_request(&job.body)?;
-        let probe = ProbeJob {
-            circuit: input.circuit.clone(),
-            backend: input.backend,
-            shots: input.shots as u64,
-            seed: input.seed,
-            opt: input.opt,
-        };
-        let seed = mix(args.seed, 300 + index as u64);
-        layers::replay_engine(&probe, input.noise, &mut totals);
-        layers::replay_dd(&probe.circuit, input.noise, 20, seed, &mut totals);
-        layers::replay_mat_vec(&probe.circuit, 2, 2_000, seed, &mut totals);
-        layers::replay_dense(&probe.circuit, input.noise, 20, seed, &mut totals);
-        let engine = ShotEngine::new(
-            &input.circuit,
-            input.backend,
-            input.noise,
-            input.seed,
-            input.opt,
-        );
-        let mut ctx = engine.new_context();
-        let outcome = run_engine_in(&engine, &mut ctx, input.shots, &[], input.dedup);
-        aggregate += outcome.stage_timings.get(Stage::Aggregate);
-    }
-
-    // The batch scheduler's chunk spans on the pool's generator jobs.
-    let chunk_figures = batch_probe(&pool, args.seed)?;
-
-    let mut out = Outcome::new(checks);
-    out.push("core.aggregate_s", aggregate.as_secs_f64(), "s");
-    out.push("core.worker_idle_ratio", idle.max(0.0), "ratio");
-    out.push("batch.chunks", chunk_figures.chunks as f64, "count");
-    out.push("batch.chunk_ms", median(&chunk_figures.chunk_ms), "ms");
-    totals.report(&mut out);
-    figures.report(&mut out);
-    let overhead = median(&pass.latency_ms) - median(&plain_pass.latency_ms);
-    out.push("trace.overhead_ms", overhead, "ms");
-    out.push(
-        "trace.overhead_ratio",
-        overhead / median(&plain_pass.latency_ms),
-        "ratio",
-    );
-    Ok(out)
-}
-
-/// Runs the pool's generator jobs as one traced batch and reads its chunk
-/// spans.
-fn batch_probe(pool: &[MixJob], seed: u64) -> Result<layers::SpanFigures, String> {
-    use qsdd_batch::{jobfile::CircuitSource, run_batch, BatchOptions, JobSpec};
-    let mut specs = Vec::new();
-    for (index, job) in pool.iter().enumerate() {
-        let value = qsdd_json::parse(&job.body).map_err(|e| format!("{e:?}"))?;
-        let circuit = value.get("circuit").expect("every body names a circuit");
-        let (Some(kind), Some(qubits)) = (
-            circuit.get("generator").and_then(|v| v.as_str()),
-            circuit.get("qubits").and_then(|v| v.as_u64()),
-        ) else {
-            continue;
-        };
-        let mut spec = JobSpec::new(
-            &format!("pool{index}"),
-            CircuitSource::Generator {
-                kind: kind.to_string(),
-                qubits: qubits as usize,
-            },
-            index,
-        );
-        spec.shots = job.shots;
-        spec.seed = mix(seed, 400 + index as u64) % 1_000_000_007;
-        specs.push(spec);
-    }
-    let (report, recorded) =
-        layers::traced(|| run_batch(&specs, &BatchOptions::with_threads(WORKERS)));
-    if !report.all_completed() {
-        return Err("the batch probe did not complete".to_string());
-    }
-    Ok(layers::span_figures(&recorded, WORKERS))
+    Ok(figures)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ladder_interpolates_between_pass_and_fail() {
-        let steps = [
-            (100.0, 10.0, true),
-            (200.0, 30.0, true),
-            (400.0, 70.0, false),
-            (800.0, 40.0, true),
-        ];
-        let rate = sustained(&steps);
-        assert!((rate - (200f64.ln() * 0.5 + 400f64.ln() * 0.5).exp()).abs() < 1e-9);
-        assert_eq!(
-            sustained(&[(100.0, 100.0, false), (200.0, 10.0, true)]),
-            50.0
-        );
-        assert_eq!(
-            sustained(&[(100.0, 10.0, true), (200.0, 45.0, true)]),
-            200.0 * 50.0 / 45.0
-        );
-    }
-
-    #[test]
-    fn schedule_is_seeded_and_mostly_hits() {
-        let a = schedule(7, 2000, 0);
-        let b = schedule(7, 2000, 0);
-        assert!(a.iter().zip(&b).all(|(x, y)| x.1.body == y.1.body));
-        let hits = a
-            .iter()
-            .filter(|(kind, _)| matches!(kind, Kind::Hit(_)))
-            .count();
-        assert!((1500..1700).contains(&hits), "{hits}");
-        let misses: std::collections::HashSet<&str> = a
-            .iter()
-            .filter(|(kind, _)| matches!(kind, Kind::Miss))
-            .map(|(_, job)| job.body.as_str())
-            .collect();
-        assert_eq!(misses.len(), a.len() - hits, "misses are all distinct");
-    }
-
-    #[test]
-    fn every_mix_job_parses() {
-        for i in 0..200 {
-            let job = miss_job(11, i);
-            let input = parse_job_request(&job.body).unwrap();
-            assert!(input.circuit.num_qubits() <= 12);
-            assert!(input.shots <= 2000);
-            assert_eq!(input.shots as u64, job.shots);
-        }
-    }
 
     #[test]
     fn payload_is_the_envelope_result() {
