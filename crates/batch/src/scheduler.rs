@@ -24,8 +24,8 @@
 //!
 //! Jobs with `weighted = true` bypass rounds entirely: the whole job is
 //! released as one **weighted chunk** and executed in a single piece by
-//! the worker that steals it, through the weighted-enumeration driver
-//! ([`qsdd_core::run_engine_weighted_in`]). Weighted jobs report
+//! the worker that steals it, through [`qsdd_core::execute`] in weighted
+//! mode on the worker's own context. Weighted jobs report
 //! `covered_mass` / `enumerated_trajectories` and never early-stop (the
 //! job file forbids combining `weighted` with `epsilon`).
 //!
@@ -704,14 +704,13 @@ fn worker_loop(
                 // along because this chunk *is* the job — trajectory-level
                 // checks inside the driver are its only cancellation
                 // points.
-                match qsdd_core::run_engine_weighted_in_deadline(
-                    &runtime.engine,
-                    &mut context,
-                    runtime.shots as usize,
-                    &[],
-                    &qsdd_core::WeightedOptions::default(),
-                    &runtime.deadline,
-                ) {
+                let plan = qsdd_core::RunPlan {
+                    shots: runtime.shots as usize,
+                    threads: 1,
+                    mode: qsdd_core::RunMode::Weighted(qsdd_core::WeightedOptions::default()),
+                    deadline: runtime.deadline.clone(),
+                };
+                match qsdd_core::execute(&runtime.engine, &mut context, &plan, &[]) {
                     Ok(outcome) => {
                         let trajectories = match (&outcome.weighted, &outcome.dedup) {
                             (Some(stats), _) => stats.enumerated_trajectories + stats.tail_shots,

@@ -14,12 +14,20 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsdd_circuit::generators::ghz;
-use qsdd_core::{run_engine, run_engine_dedup, BackendKind, OptLevel, ShotEngine};
+use qsdd_core::{
+    execute, BackendKind, ExecContext, OptLevel, RunMode, RunPlan, ShotEngine, StochasticOutcome,
+};
 use qsdd_noise::NoiseModel;
 
 const BENCH_SHOTS: usize = 2_000;
 const REPORT_SHOTS: usize = 10_000;
 const REPORT_REPS: usize = 7;
+
+/// Runs `shots` shots of `engine` on `threads` workers in `mode`.
+fn run(engine: &ShotEngine, shots: usize, threads: usize, mode: RunMode) -> StochasticOutcome {
+    let plan = RunPlan::new(shots, threads, mode);
+    execute(engine, &mut ExecContext::new(), &plan, &[]).expect("no deadline")
+}
 
 /// The workloads of the speedup report: the acceptance workload first.
 fn workloads() -> Vec<(&'static str, ShotEngine)> {
@@ -56,10 +64,10 @@ fn bench_dedup(c: &mut Criterion) {
 
     for (name, engine) in &workloads() {
         group.bench_with_input(BenchmarkId::new("per_shot", name), engine, |b, engine| {
-            b.iter(|| black_box(run_engine(engine, BENCH_SHOTS, 1, &[]).error_events));
+            b.iter(|| black_box(run(engine, BENCH_SHOTS, 1, RunMode::PerShot).error_events));
         });
         group.bench_with_input(BenchmarkId::new("dedup", name), engine, |b, engine| {
-            b.iter(|| black_box(run_engine_dedup(engine, BENCH_SHOTS, 1, &[]).error_events));
+            b.iter(|| black_box(run(engine, BENCH_SHOTS, 1, RunMode::Dedup).error_events));
         });
     }
     group.finish();
@@ -75,10 +83,10 @@ fn bench_dedup(c: &mut Criterion) {
         let mut stats = None;
         for _ in 0..REPORT_REPS {
             let started = Instant::now();
-            let dedup = run_engine_dedup(engine, REPORT_SHOTS, 1, &[]);
+            let dedup = run(engine, REPORT_SHOTS, 1, RunMode::Dedup);
             best_dedup = best_dedup.min(started.elapsed().as_secs_f64());
             let started = Instant::now();
-            let per_shot = run_engine(engine, REPORT_SHOTS, 1, &[]);
+            let per_shot = run(engine, REPORT_SHOTS, 1, RunMode::PerShot);
             best_per_shot = best_per_shot.min(started.elapsed().as_secs_f64());
             if dedup.counts != per_shot.counts
                 || dedup.error_events != per_shot.error_events
@@ -113,8 +121,8 @@ fn bench_dedup(c: &mut Criterion) {
                 OptLevel::O0,
             );
             for threads in [1usize, 2, 4] {
-                let dedup = run_engine_dedup(&engine, 2_000, threads, &[]);
-                let per_shot = run_engine(&engine, 2_000, threads, &[]);
+                let dedup = run(&engine, 2_000, threads, RunMode::Dedup);
+                let per_shot = run(&engine, 2_000, threads, RunMode::PerShot);
                 if dedup.counts != per_shot.counts
                     || dedup.error_events != per_shot.error_events
                     || dedup.dd_nodes_peak != per_shot.dd_nodes_peak

@@ -20,48 +20,42 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsdd_circuit::generators::{ghz, grover, qft};
 use qsdd_circuit::Circuit;
-use qsdd_core::{run_stochastic, DdSimulator, DenseSimulator, StochasticBackend, StochasticConfig};
+use qsdd_core::{BackendKind, StochasticSimulator};
 use qsdd_noise::NoiseModel;
 use qsdd_transpile::{transpile, OptLevel};
 
 const SHOTS: usize = 16;
 
-fn config() -> StochasticConfig {
-    StochasticConfig {
-        shots: SHOTS,
-        threads: 1,
-        seed: 1,
-        noise: NoiseModel::paper_defaults(),
-        dedup: true,
-        weighted: None,
-        intra_threads: 1,
-    }
-}
-
 fn workloads() -> Vec<Circuit> {
     vec![ghz(16), qft(10), grover(6, 5, None)]
 }
 
-fn bench_engine<B: StochasticBackend>(
+fn bench_engine(
     group: &mut criterion::BenchmarkGroup,
-    backend: B,
+    backend: BackendKind,
     engine: &str,
     name: &str,
     original: &Circuit,
     optimized: &Circuit,
 ) {
+    let simulator = StochasticSimulator::new()
+        .with_backend(backend)
+        .with_shots(SHOTS)
+        .with_threads(1)
+        .with_seed(1)
+        .with_noise(NoiseModel::paper_defaults());
     group.bench_with_input(
         BenchmarkId::new(format!("{engine}_o0"), name),
         original,
         |b, circuit| {
-            b.iter(|| run_stochastic(&backend, circuit, &config(), &[]));
+            b.iter(|| simulator.run(circuit));
         },
     );
     group.bench_with_input(
         BenchmarkId::new(format!("{engine}_o2"), name),
         optimized,
         |b, circuit| {
-            b.iter(|| run_stochastic(&backend, circuit, &config(), &[]));
+            b.iter(|| simulator.run(circuit));
         },
     );
 }
@@ -84,7 +78,7 @@ fn bench_shot_throughput(c: &mut Criterion) {
         );
         bench_engine(
             &mut group,
-            DdSimulator::new(),
+            BackendKind::DecisionDiagram,
             "dd",
             &name,
             &circuit,
@@ -92,7 +86,7 @@ fn bench_shot_throughput(c: &mut Criterion) {
         );
         bench_engine(
             &mut group,
-            DenseSimulator::new(),
+            BackendKind::Statevector,
             "dense",
             &name,
             &circuit,

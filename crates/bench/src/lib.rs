@@ -2,9 +2,9 @@
 //!
 //! The binaries in `src/bin/` regenerate the tables of the paper's
 //! evaluation section (Table Ia, Ib, Ic plus the Theorem 1 and ablation
-//! experiments); the Criterion benchmarks in `benches/` provide
-//! statistically robust micro-measurements of the same workloads. This
-//! library holds the shared machinery: per-cell execution with a wall-clock
+//! experiments); the Criterion benchmarks in `benches/` time individual
+//! components (single runs, the compute table, transpilation, the batch
+//! scheduler, context reuse, deduplication). This library holds the shared machinery: per-cell execution with a wall-clock
 //! budget, the baseline/proposed pairing, and table formatting.
 
 #![warn(missing_docs)]
@@ -15,7 +15,7 @@ pub mod server_load;
 use std::time::{Duration, Instant};
 
 use qsdd_circuit::Circuit;
-use qsdd_core::{run_stochastic, DdSimulator, DenseSimulator, StochasticBackend, StochasticConfig};
+use qsdd_core::{BackendKind, StochasticSimulator};
 use qsdd_noise::NoiseModel;
 
 /// Which engine a table cell is measured with.
@@ -137,35 +137,23 @@ pub fn run_cell(engine: Engine, circuit: &Circuit, config: &HarnessConfig) -> Ce
     if engine == Engine::Dense && circuit.num_qubits() > config.dense_limit {
         return CellOutcome::Skipped;
     }
-    match engine {
-        Engine::Dense => run_cell_with(&DenseSimulator::new(), circuit, config, 1),
-        Engine::DecisionDiagram => {
-            run_cell_with(&DdSimulator::new(), circuit, config, config.threads)
-        }
-    }
-}
-
-fn run_cell_with<B: StochasticBackend>(
-    backend: &B,
-    circuit: &Circuit,
-    config: &HarnessConfig,
-    threads: usize,
-) -> CellOutcome {
+    // The dense baseline runs on one worker.
+    let (backend, threads) = match engine {
+        Engine::Dense => (BackendKind::Statevector, 1),
+        Engine::DecisionDiagram => (BackendKind::DecisionDiagram, config.threads),
+    };
     let started = Instant::now();
     let chunk = (config.shots / 20).max(1);
     let mut done = 0usize;
     while done < config.shots {
         let this_chunk = chunk.min(config.shots - done);
-        let run_config = StochasticConfig {
-            shots: this_chunk,
-            threads,
-            seed: config.seed.wrapping_add(done as u64),
-            noise: config.noise,
-            dedup: true,
-            weighted: None,
-            intra_threads: 1,
-        };
-        let _ = run_stochastic(backend, circuit, &run_config, &[]);
+        StochasticSimulator::new()
+            .with_backend(backend)
+            .with_shots(this_chunk)
+            .with_threads(threads)
+            .with_seed(config.seed.wrapping_add(done as u64))
+            .with_noise(config.noise)
+            .run(circuit);
         done += this_chunk;
         if started.elapsed() > config.budget {
             return CellOutcome::TimedOut(config.budget.as_secs_f64());

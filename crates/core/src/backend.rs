@@ -16,10 +16,11 @@
 //!
 //! Reuse is an optimisation, never an observable: a shot executed in a
 //! reused context is bit-identical to the same shot executed in a freshly
-//! created context, for every seed and shot index. The Monte-Carlo runner in
-//! [`crate::stochastic`] drives any back-end concurrently by sharing the
-//! program across workers and giving each worker its own context; the
-//! paper's contribution is the decision-diagram back-end, the dense
+//! created context, for every seed and shot index. [`crate::ShotEngine`]
+//! wraps the two back-ends behind one concrete type, and the Monte-Carlo
+//! driver [`crate::execute`] runs it concurrently by sharing the program
+//! across workers and giving each worker its own context; the paper's
+//! contribution is the decision-diagram back-end, the dense
 //! statevector back-end reproduces the baseline simulators.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,9 +78,6 @@ pub trait StochasticBackend: Sync {
     /// Reusable per-worker scratch state (arenas, amplitude buffers).
     type Context: Send;
 
-    /// Human-readable name used in benchmark reports.
-    fn name(&self) -> &'static str;
-
     /// Phase 1: resolves `circuit` under `noise` into an executable program,
     /// performing all per-circuit work (operator construction, noise table
     /// resolution) exactly once.
@@ -92,19 +90,6 @@ pub trait StochasticBackend: Sync {
     /// long-lived context per worker serves any sequence of programs of
     /// this back-end.
     fn new_context(&self) -> Self::Context;
-
-    /// Installs (or clears) a fork-join pool for *intra-shot* parallelism
-    /// on a context: back-ends that support it split the work of a single
-    /// shot (diagram cofactor recursions, dense kernel chunks) across the
-    /// pool's threads. Results must stay bit-identical to serial
-    /// execution. The default is a no-op, which keeps back-ends without
-    /// intra-shot parallelism correct.
-    fn set_intra_pool(
-        &self,
-        _ctx: &mut Self::Context,
-        _pool: Option<std::sync::Arc<qsdd_dd::IntraPool>>,
-    ) {
-    }
 
     /// Phase 2: executes one stochastic shot of `program` in `ctx`.
     ///

@@ -315,10 +315,6 @@ impl StochasticBackend for DdSimulator {
     type Program = DdProgram;
     type Context = DdContext;
 
-    fn name(&self) -> &'static str {
-        "decision-diagram"
-    }
-
     fn compile(&self, circuit: &Circuit, noise: &NoiseModel) -> DdProgram {
         let n = circuit.num_qubits();
         let mut base = DdPackage::new();
@@ -501,14 +497,6 @@ impl StochasticBackend for DdSimulator {
 
     fn new_context(&self) -> DdContext {
         DdContext::new()
-    }
-
-    fn set_intra_pool(
-        &self,
-        ctx: &mut DdContext,
-        pool: Option<std::sync::Arc<qsdd_dd::IntraPool>>,
-    ) {
-        ctx.set_intra_pool(pool);
     }
 
     fn run_shot(

@@ -1,11 +1,11 @@
 //! Cooperative job deadlines.
 //!
 //! A [`Deadline`] is a wall-clock budget shared by every worker of one
-//! simulation. The drivers check it at natural boundaries — per shot, per
-//! trajectory group, per enumerated pattern, per tail candidate — and bail
-//! out with [`TimedOut`] instead of finishing, so a runaway job releases
-//! its worker within one trajectory's wall time rather than holding it for
-//! the whole shot count. Checks are *cooperative*: nothing is interrupted
+//! simulation. [`crate::execute`] checks it at natural boundaries — per
+//! shot, per trajectory group, per enumerated pattern, per tail candidate —
+//! and bails out with [`TimedOut`] instead of finishing, so a runaway job
+//! releases its worker within one trajectory's wall time rather than
+//! holding it for the whole shot count. Checks are *cooperative*: nothing is interrupted
 //! mid-trajectory, which keeps every context reusable after a timeout.
 //!
 //! The default [`Deadline::unbounded`] never expires and costs one relaxed

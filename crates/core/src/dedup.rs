@@ -29,6 +29,10 @@
 //! checkpointed, and every member resumes live from a clone of that
 //! checkpoint ([`StochasticBackend::resume_pattern`]).
 //!
+//! [`execute`](crate::execute) runs this protocol in
+//! [`RunMode::Dedup`](crate::RunMode::Dedup): it presamples and groups every shot
+//! up front, then deals the groups and live shots to its workers.
+//!
 //! # Determinism
 //!
 //! Deduplication is an optimisation, never an observable: for every seed
@@ -39,26 +43,20 @@
 //! from the right position), a pattern replay performs the identical
 //! operator sequence a member shot would have performed (so the shared
 //! state — and the context it lives in — is bit-identical), and the final
-//! aggregation replays the per-worker strided summation order of the
-//! non-deduplicated runner.
+//! aggregation replays the per-worker strided summation order of per-shot
+//! mode.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-
-use qsdd_dd::IntraPool;
 
 use qsdd_noise::{ErrorPattern, PresamplePlan, Presampled};
 use qsdd_telemetry::trace;
 use rand::rngs::StdRng;
 
 use crate::backend::StochasticBackend;
-use crate::deadline::{Deadline, TimedOut};
 use crate::estimator::Observable;
 use crate::fxhash::FxHashMap;
 use crate::shot_engine::ShotSample;
-use crate::stochastic::{merge_partials, shot_rng, StochasticOutcome, WorkerPartial};
+use crate::stochastic::shot_rng;
 
 /// How a compiled program supports trajectory deduplication.
 ///
@@ -88,15 +86,15 @@ pub struct DedupStats {
     pub live_shots: u64,
 }
 
-/// One unit of deduplicated work.
-enum Work {
+/// One unit of work of [`crate::stochastic::execute`].
+pub(crate) enum Work {
     /// A trajectory group: the shared pattern plus every member shot with
     /// its post-presample generator.
     Group {
         pattern: ErrorPattern,
         shots: Vec<(u64, StdRng)>,
     },
-    /// A shot that must execute live (freshly derived generator).
+    /// A shot that executes live (freshly derived generator).
     Live(u64),
 }
 
@@ -156,7 +154,12 @@ impl WorkerGroups {
 /// in global first-appearance order with members in shot order — the same
 /// plan a sequential pass would build. Returns the work list (groups first,
 /// then live shots in index order) and the live-shot count.
-fn plan_shots(plan: &PresamplePlan, shots: usize, threads: usize, seed: u64) -> (Vec<Work>, u64) {
+pub(crate) fn plan_shots(
+    plan: &PresamplePlan,
+    shots: usize,
+    threads: usize,
+    seed: u64,
+) -> (Vec<Work>, u64) {
     let chunk = shots.div_ceil(threads).max(1) as u64;
     let mut workers: Vec<WorkerGroups> = Vec::new();
     if threads <= 1 {
@@ -268,235 +271,6 @@ pub(crate) fn execute_group<B: StochasticBackend>(
             );
         }
     }
-}
-
-/// The deduplicating Monte-Carlo driver: presample → group → replay.
-///
-/// `threads` must already be resolved (positive, capped at the shot count);
-/// `observables` must already be mapped onto the executed circuit;
-/// `output_layout`, when present, restores each outcome to the original
-/// qubit order (the transpiler's elided-SWAP relabeling). The result is
-/// byte-identical to the per-shot runner for the same seed and thread
-/// count, including the bit patterns of the observable sums.
-///
-/// Memory: the driver holds one presampled generator per grouped shot
-/// (tens of bytes each), so its transient footprint is `O(shots)` where
-/// the per-shot runner's is `O(threads)`. For shot counts where that
-/// matters, the batch scheduler provides the bounded alternative: it
-/// presamples and executes one `check`-interval round at a time.
-///
-/// The `deadline` is checked between work items (one trajectory group or
-/// one live shot); on expiry the whole run returns [`TimedOut`] before the
-/// replay phase, which requires complete shot coverage.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_dedup<B: StochasticBackend>(
-    backend: &B,
-    program: &B::Program,
-    support: &DedupSupport,
-    shots: usize,
-    threads: usize,
-    seed: u64,
-    observables: &[Observable],
-    output_layout: Option<&[usize]>,
-    intra: Option<&Arc<IntraPool>>,
-    started: Instant,
-    deadline: &Deadline,
-) -> Result<StochasticOutcome, TimedOut> {
-    // Phase 1 + 2: presample every shot, group by pattern.
-    let presample_started = Instant::now();
-    let presample_span = trace::span("presample");
-    let (mut work, live_shots) = plan_shots(&support.plan, shots, threads, seed);
-    trace::attr("shots", shots);
-    trace::attr("groups", work.len().saturating_sub(live_shots as usize));
-    trace::attr("live_shots", live_shots);
-    drop(presample_span);
-    let presample_time = presample_started.elapsed();
-    let unique_trajectories = work.len() as u64;
-
-    // Phase 3: execute each trajectory once, fanning results out per shot.
-    // Work items are dealt round-robin; assignment does not influence any
-    // result (every record is a deterministic function of the program and
-    // the shot index alone).
-    //
-    // Without observables every aggregate is an integer merge
-    // (order-independent), so workers fold their records straight into a
-    // partial and phase 4 is a plain merge. With observables the
-    // floating-point summation order matters: records are kept per shot
-    // and phase 4 replays the strided per-worker order of the
-    // non-deduplicated runner, so every bit of the sums matches it.
-    enum Sink {
-        Partial(WorkerPartial),
-        Records(Vec<(u64, ShotSample, Vec<f64>)>),
-    }
-    let keep_records = !observables.is_empty();
-    let mut worker_items: Vec<Vec<Work>> = (0..threads).map(|_| Vec::new()).collect();
-    for (item, slot) in work.drain(..).zip((0..threads).cycle()) {
-        worker_items[slot].push(item);
-    }
-    let mut sinks: Vec<Sink> = (0..threads)
-        .map(|_| {
-            if keep_records {
-                Sink::Records(Vec::new())
-            } else {
-                Sink::Partial(WorkerPartial::new(0))
-            }
-        })
-        .collect();
-    let bounded = !deadline.is_unbounded();
-    let aborted = AtomicBool::new(false);
-    let execute_started = Instant::now();
-    let trace_handle = trace::propagate();
-    std::thread::scope(|scope| {
-        for (worker, (items, sink)) in worker_items.into_iter().zip(sinks.iter_mut()).enumerate() {
-            let aborted = &aborted;
-            let trace_handle = trace_handle.clone();
-            scope.spawn(move || {
-                let _lane = trace_handle.as_ref().map(|h| h.install(worker as u32 + 1));
-                let _span = trace::span("worker_trajectories");
-                trace::attr("worker", worker);
-                trace::attr("items", items.len());
-                let mut pattern_ctx = backend.new_context();
-                let mut work_ctx = backend.new_context();
-                if let Some(pool) = intra {
-                    backend.set_intra_pool(&mut pattern_ctx, Some(Arc::clone(pool)));
-                    backend.set_intra_pool(&mut work_ctx, Some(Arc::clone(pool)));
-                }
-                let mut emit = |shot: u64, mut sample: ShotSample, values: &[f64]| {
-                    if let Some(output_layout) = output_layout {
-                        sample.outcome =
-                            qsdd_transpile::layout::restore_outcome(sample.outcome, output_layout);
-                    }
-                    match sink {
-                        Sink::Partial(partial) => partial.record(
-                            sample.outcome,
-                            sample.error_events,
-                            sample.dd_nodes,
-                            sample.dd_nodes_peak,
-                            &[],
-                        ),
-                        Sink::Records(records) => records.push((shot, sample, values.to_vec())),
-                    }
-                };
-                for item in items {
-                    if bounded && deadline.expired() {
-                        aborted.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    match item {
-                        Work::Group { pattern, mut shots } => {
-                            let group_span = trace::span("trajectory_group");
-                            trace::attr("members", shots.len());
-                            execute_group(
-                                backend,
-                                program,
-                                support,
-                                &mut pattern_ctx,
-                                &mut work_ctx,
-                                &pattern,
-                                &mut shots,
-                                observables,
-                                &mut emit,
-                            );
-                            drop(group_span);
-                        }
-                        Work::Live(shot) => {
-                            // Presampling left this shot's stream partially
-                            // consumed; live execution re-derives it.
-                            let mut rng = shot_rng(seed, shot);
-                            let mut run = backend.run_shot(program, &mut pattern_ctx, &mut rng);
-                            let values: Vec<f64> = observables
-                                .iter()
-                                .map(|o| backend.evaluate(program, &mut pattern_ctx, &mut run, o))
-                                .collect();
-                            emit(
-                                shot,
-                                ShotSample {
-                                    outcome: run.outcome,
-                                    error_events: run.error_events as u64,
-                                    dd_nodes: run.dd_nodes,
-                                    dd_nodes_peak: run.dd_nodes_peak,
-                                },
-                                &values,
-                            );
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    let execute_time = execute_started.elapsed();
-    // A timed-out run must bail here: the replay below expects every shot
-    // to be covered, and partial aggregates are never exposed.
-    if aborted.load(Ordering::Relaxed) {
-        return Err(TimedOut);
-    }
-
-    // Phase 4: merge. Integer-only aggregates merge directly; observable
-    // runs replay the strided per-worker summation order first.
-    let aggregate_started = Instant::now();
-    let aggregate_span = trace::span("aggregate");
-    let partials: Vec<Option<WorkerPartial>> = if keep_records {
-        let mut records: Vec<Option<(ShotSample, Vec<f64>)>> = Vec::new();
-        records.resize_with(shots, || None);
-        for sink in sinks {
-            let Sink::Records(list) = sink else {
-                unreachable!("observable runs keep records")
-            };
-            for (shot, sample, values) in list {
-                let slot = &mut records[shot as usize];
-                debug_assert!(slot.is_none(), "shot {shot} recorded twice");
-                *slot = Some((sample, values));
-            }
-        }
-        (0..threads)
-            .map(|worker| {
-                let mut partial = WorkerPartial::new(observables.len());
-                let mut shot = worker;
-                while shot < shots {
-                    let (sample, values) = records[shot]
-                        .as_ref()
-                        .expect("every shot is covered by exactly one work item");
-                    partial.record(
-                        sample.outcome,
-                        sample.error_events,
-                        sample.dd_nodes,
-                        sample.dd_nodes_peak,
-                        values,
-                    );
-                    shot += threads;
-                }
-                Some(partial)
-            })
-            .collect()
-    } else {
-        sinks
-            .into_iter()
-            .map(|sink| {
-                let Sink::Partial(partial) = sink else {
-                    unreachable!("observable-free runs aggregate in place")
-                };
-                Some(partial)
-            })
-            .collect()
-    };
-    let mut outcome = merge_partials(partials, shots, observables.len(), threads, started);
-    drop(aggregate_span);
-    outcome.dedup = Some(DedupStats {
-        unique_trajectories,
-        live_shots,
-    });
-    outcome
-        .stage_timings
-        .record(qsdd_telemetry::Stage::Presample, presample_time);
-    outcome
-        .stage_timings
-        .record(qsdd_telemetry::Stage::Execute, execute_time);
-    outcome.stage_timings.record(
-        qsdd_telemetry::Stage::Aggregate,
-        aggregate_started.elapsed(),
-    );
-    Ok(outcome)
 }
 
 #[cfg(test)]

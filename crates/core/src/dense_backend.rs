@@ -159,10 +159,6 @@ impl StochasticBackend for DenseSimulator {
     type Program = DenseProgram;
     type Context = DenseContext;
 
-    fn name(&self) -> &'static str {
-        "statevector"
-    }
-
     fn compile(&self, circuit: &Circuit, noise: &NoiseModel) -> DenseProgram {
         let channels = noise.channels();
         let mut steps = Vec::with_capacity(circuit.len());
@@ -229,14 +225,6 @@ impl StochasticBackend for DenseSimulator {
 
     fn new_context(&self) -> DenseContext {
         DenseContext::new()
-    }
-
-    fn set_intra_pool(
-        &self,
-        ctx: &mut DenseContext,
-        pool: Option<std::sync::Arc<qsdd_dd::IntraPool>>,
-    ) {
-        ctx.set_intra_pool(pool);
     }
 
     fn run_shot(

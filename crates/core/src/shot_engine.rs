@@ -21,8 +21,9 @@
 //! Two consumers share this API:
 //!
 //! * [`StochasticSimulator`](crate::StochasticSimulator) builds an engine
-//!   per `run` call and drives it with the strided Monte-Carlo loop in
-//!   [`crate::stochastic::run_engine`];
+//!   per `run` call and drives it through the Monte-Carlo driver
+//!   [`crate::execute`] (as do the server and the batch scheduler's
+//!   weighted jobs);
 //! * the `qsdd-batch` scheduler builds one engine per job and lets its
 //!   worker pool pull arbitrary `(job, shot)` pairs from a global queue,
 //!   each worker reusing one long-lived context per back-end kind.
@@ -44,12 +45,11 @@ use rand::rngs::StdRng;
 
 use crate::backend::StochasticBackend;
 use crate::dd_backend::{DdContext, DdProgram, DdSimulator};
-use crate::deadline::{Deadline, TimedOut};
-use crate::dedup::{execute_group, run_dedup, DedupSupport};
+use crate::dedup::{execute_group, DedupSupport, Work};
 use crate::dense_backend::{DenseContext, DenseProgram, DenseSimulator};
 use crate::estimator::Observable;
 use crate::simulator::BackendKind;
-use crate::stochastic::{shot_rng, StochasticOutcome};
+use crate::stochastic::shot_rng;
 
 /// The aggregate-relevant result of one stochastic shot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,7 +142,7 @@ impl ExecContext {
     /// Installs (or clears) a shared fork-join pool for intra-shot
     /// parallelism. Drivers that run several contexts concurrently hand
     /// every worker a clone of one pool instead of letting each build its
-    /// own (see [`crate::run_engine`]).
+    /// own (see [`crate::execute`]).
     pub fn set_intra_pool(&mut self, pool: Option<Arc<IntraPool>>) {
         self.intra = pool;
         if let Some(ctx) = self.dd.as_deref_mut() {
@@ -180,21 +180,12 @@ impl ExecContext {
     /// context's packages (primary + auxiliary), for before/after deltas
     /// around a job. Zero when no decision-diagram shot ran yet.
     pub(crate) fn dd_table_stats(&self) -> TableStats {
-        let mut total = TableStats::default();
-        for ctx in [self.dd.as_deref(), self.dd_aux.as_deref()]
+        [self.dd.as_deref(), self.dd_aux.as_deref()]
             .into_iter()
             .flatten()
-        {
-            let stats = ctx.package().table_stats();
-            total.vec_unique_hits += stats.vec_unique_hits;
-            total.vec_unique_misses += stats.vec_unique_misses;
-            total.mat_unique_hits += stats.mat_unique_hits;
-            total.mat_unique_misses += stats.mat_unique_misses;
-            total.compute_hits += stats.compute_hits;
-            total.compute_misses += stats.compute_misses;
-            total.stripe_contention += stats.stripe_contention;
-        }
-        total
+            .fold(TableStats::default(), |total, ctx| {
+                total + ctx.package().table_stats()
+            })
     }
 
     /// Entries per lock stripe of the decision-diagram tables (primary and
@@ -288,9 +279,9 @@ pub struct ShotEngine {
     /// Wall time spent in the construction stages (transpile, compile), so
     /// runners can fold the one-off setup cost into a job's stage breakdown.
     timings: StageTimings,
-    /// Requested intra-shot parallelism width (1 = serial). Drivers resolve
-    /// this against their own worker count and core budget before building
-    /// a pool (see [`crate::run_engine`]).
+    /// Requested intra-shot parallelism width (1 = serial). The driver
+    /// resolves this against its worker count and core budget before
+    /// building a pool (see [`crate::execute`]).
     intra_threads: usize,
 }
 
@@ -358,11 +349,10 @@ impl ShotEngine {
     }
 
     /// Requests intra-shot parallelism with `threads` workers for shots
-    /// driven through this engine's runners ([`crate::run_engine`] and
-    /// friends); `1` (the default) keeps execution serial. The request is
-    /// clamped against the driver's own worker count so inter-shot and
-    /// intra-shot parallelism never oversubscribe the machine. Results are
-    /// bit-identical for every setting.
+    /// driven through [`crate::execute`]; `1` (the default) keeps execution
+    /// serial. The request is clamped against the driver's own worker count
+    /// so inter-shot and intra-shot parallelism never oversubscribe the
+    /// machine. Results are bit-identical for every setting.
     pub fn set_intra_threads(&mut self, threads: usize) {
         self.intra_threads = threads.max(1);
     }
@@ -471,10 +461,10 @@ impl ShotEngine {
     ) -> (ShotSample, Vec<f64>) {
         let (mut sample, values) = match &self.backend {
             EngineBackend::DecisionDiagram { backend, program } => {
-                execute(backend, program, ctx.dd_mut(), rng, observables)
+                execute_shot(backend, program, ctx.dd_mut(), rng, observables)
             }
             EngineBackend::Statevector { backend, program } => {
-                execute(backend, program, ctx.dense_mut(), rng, observables)
+                execute_shot(backend, program, ctx.dense_mut(), rng, observables)
             }
         };
         if let Some(output_layout) = &self.output_layout {
@@ -698,53 +688,19 @@ impl ShotEngine {
         out
     }
 
-    /// Runs the deduplicating Monte-Carlo driver over shots `0..shots`, or
-    /// returns `None` when the program does not support deduplication.
-    ///
-    /// `threads` must already be resolved and capped at the shot count;
-    /// observables are mapped and outcomes restored to the original qubit
-    /// order internally. The inner `Result` carries the `deadline`'s
-    /// cooperative-timeout verdict.
-    pub(crate) fn dedup_outcome(
-        &self,
-        shots: usize,
-        threads: usize,
-        observables: &[Observable],
-        intra: Option<&Arc<IntraPool>>,
-        started: Instant,
-        deadline: &Deadline,
-    ) -> Option<Result<StochasticOutcome, TimedOut>> {
+    /// Presamples shots `0..shots` on `threads` workers and groups them by
+    /// error pattern: the work list of a dedup run (groups in
+    /// first-appearance order, then live shots in index order) and its
+    /// live-shot count, or `None` when the engine does not support
+    /// deduplication.
+    pub(crate) fn plan_shots(&self, shots: usize, threads: usize) -> Option<(Vec<Work>, u64)> {
         let support = self.dedup.as_ref()?;
-        let mapped = self.map_observables(observables);
-        let output_layout = self.output_layout.as_deref();
-        Some(match &self.backend {
-            EngineBackend::DecisionDiagram { backend, program } => run_dedup(
-                backend,
-                program.as_ref(),
-                support,
-                shots,
-                threads,
-                self.seed,
-                &mapped,
-                output_layout,
-                intra,
-                started,
-                deadline,
-            ),
-            EngineBackend::Statevector { backend, program } => run_dedup(
-                backend,
-                program.as_ref(),
-                support,
-                shots,
-                threads,
-                self.seed,
-                &mapped,
-                output_layout,
-                intra,
-                started,
-                deadline,
-            ),
-        })
+        Some(crate::dedup::plan_shots(
+            &support.plan,
+            shots,
+            threads,
+            self.seed,
+        ))
     }
 
     /// Re-expresses observables over the original qubits as observables over
@@ -792,7 +748,7 @@ impl EngineBackend {
 /// Runs one shot on a concrete back-end and evaluates the observables;
 /// `SingleRun` carries the diagram statistics uniformly (zero on back-ends
 /// without diagrams), so both engine arms share this body.
-fn execute<B: StochasticBackend>(
+fn execute_shot<B: StochasticBackend>(
     backend: &B,
     program: &B::Program,
     ctx: &mut B::Context,

@@ -1,9 +1,9 @@
-//! High-level facade over the back-ends and the Monte-Carlo runner.
+//! High-level facade over the back-ends and the Monte-Carlo driver.
 //!
 //! Most users interact with [`StochasticSimulator`]: pick a back-end, set
 //! the shot count and noise model, and run circuits. The lower-level pieces
-//! ([`crate::backend`], [`crate::stochastic`]) remain public for users who
-//! need custom observables or their own aggregation.
+//! ([`ShotEngine`], [`execute`], [`crate::backend`]) remain public for users
+//! who keep their own execution contexts or drive shots themselves.
 
 use qsdd_circuit::Circuit;
 use qsdd_noise::NoiseModel;
@@ -12,9 +12,8 @@ use qsdd_transpile::{OptLevel, TranspileResult};
 use crate::deadline::{Deadline, TimedOut};
 use crate::estimator::Observable;
 use crate::shot_engine::ShotEngine;
-use crate::stochastic::{
-    run_engine_deadline, run_engine_dedup_deadline, StochasticConfig, StochasticOutcome,
-};
+use crate::stochastic::{execute, RunMode, RunPlan, StochasticOutcome};
+use crate::weighted::WeightedOptions;
 
 /// Which simulation engine executes the individual runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -69,17 +68,30 @@ impl std::fmt::Display for BackendKind {
 #[derive(Clone, Debug)]
 pub struct StochasticSimulator {
     backend: BackendKind,
-    config: StochasticConfig,
+    shots: usize,
+    threads: usize,
+    seed: u64,
+    noise: NoiseModel,
+    dedup: bool,
+    weighted: Option<WeightedOptions>,
+    intra_threads: usize,
     opt_level: OptLevel,
 }
 
 impl StochasticSimulator {
     /// Creates a simulator with the decision-diagram back-end, the paper's
-    /// noise model, 1024 shots and no circuit optimization.
+    /// noise model, 1024 shots on all available cores, trajectory
+    /// deduplication and no circuit optimization.
     pub fn new() -> Self {
         StochasticSimulator {
             backend: BackendKind::DecisionDiagram,
-            config: StochasticConfig::default(),
+            shots: 1024,
+            threads: 0,
+            seed: 0xD1CE_5EED,
+            noise: NoiseModel::paper_defaults(),
+            dedup: true,
+            weighted: None,
+            intra_threads: 1,
             opt_level: OptLevel::O0,
         }
     }
@@ -92,25 +104,26 @@ impl StochasticSimulator {
 
     /// Sets the number of stochastic runs.
     pub fn with_shots(mut self, shots: usize) -> Self {
-        self.config.shots = shots;
+        self.shots = shots;
         self
     }
 
     /// Sets the number of worker threads (`0` = all available cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
+        self.threads = threads;
         self
     }
 
-    /// Sets the master seed.
+    /// Sets the master seed; every shot derives its own generator from it,
+    /// so results are reproducible and independent of the thread count.
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
+        self.seed = seed;
         self
     }
 
-    /// Sets the noise model.
+    /// Sets the noise model applied after every gate.
     pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.config.noise = noise;
+        self.noise = noise;
         self
     }
 
@@ -121,7 +134,7 @@ impl StochasticSimulator {
     /// [`crate::dedup`]); results are byte-identical either way, so
     /// disabling it is only useful for benchmarking the per-shot path.
     pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.config.dedup = dedup;
+        self.dedup = dedup;
         self
     }
 
@@ -133,17 +146,17 @@ impl StochasticSimulator {
     /// oversubscribe the machine. Results are bit-identical for every
     /// setting.
     pub fn with_intra_threads(mut self, intra_threads: usize) -> Self {
-        self.config.intra_threads = intra_threads;
+        self.intra_threads = intra_threads;
         self
     }
 
-    /// Enables the weighted-enumeration driver (see [`crate::weighted`]):
+    /// Enables weighted trajectory enumeration (see [`crate::weighted`]):
     /// error patterns are enumerated in probability order and their exact
     /// outcome distributions weighted, with sampled shots covering only the
     /// residual mass. Falls back to the configured sampling path when the
     /// circuit does not support enumeration.
-    pub fn with_weighted(mut self, options: crate::weighted::WeightedOptions) -> Self {
-        self.config.weighted = Some(options);
+    pub fn with_weighted(mut self, options: WeightedOptions) -> Self {
+        self.weighted = Some(options);
         self
     }
 
@@ -169,11 +182,6 @@ impl StochasticSimulator {
         self.opt_level
     }
 
-    /// The current run configuration.
-    pub fn config(&self) -> &StochasticConfig {
-        &self.config
-    }
-
     /// Runs the circuit and returns the aggregated measurement statistics.
     pub fn run(&self, circuit: &Circuit) -> StochasticOutcome {
         self.run_with_observables(circuit, &[])
@@ -190,8 +198,14 @@ impl StochasticSimulator {
         circuit: &Circuit,
         observables: &[Observable],
     ) -> StochasticOutcome {
-        self.drive_deadline(&self.engine(circuit), observables, &Deadline::unbounded())
-            .expect("an unbounded deadline never expires")
+        let engine = self.engine(circuit);
+        execute(
+            &engine,
+            &mut engine.new_context(),
+            &self.plan(Deadline::unbounded()),
+            observables,
+        )
+        .expect("an unbounded deadline never expires")
     }
 
     /// [`Self::run_with_observables`] under a cooperative [`Deadline`]: the
@@ -205,7 +219,13 @@ impl StochasticSimulator {
         observables: &[Observable],
         deadline: &Deadline,
     ) -> Result<StochasticOutcome, TimedOut> {
-        self.drive_deadline(&self.engine(circuit), observables, deadline)
+        let engine = self.engine(circuit);
+        execute(
+            &engine,
+            &mut engine.new_context(),
+            &self.plan(deadline.clone()),
+            observables,
+        )
     }
 
     /// Runs an already-transpiled circuit, remapping outcomes and
@@ -232,65 +252,34 @@ impl StochasticSimulator {
         observables: &[Observable],
         deadline: &Deadline,
     ) -> Result<StochasticOutcome, TimedOut> {
-        let engine = ShotEngine::from_transpiled(
-            transpiled,
-            self.backend,
-            self.config.noise,
-            self.config.seed,
+        let engine = ShotEngine::from_transpiled(transpiled, self.backend, self.noise, self.seed)
+            .with_intra_threads(self.intra_threads);
+        execute(
+            &engine,
+            &mut engine.new_context(),
+            &self.plan(deadline.clone()),
+            observables,
         )
-        .with_intra_threads(self.config.intra_threads);
-        self.drive_deadline(&engine, observables, deadline)
     }
 
     /// Builds the re-entrant [`ShotEngine`] this simulator would execute
     /// `circuit` on (transpiling at the configured opt level).
     ///
     /// The engine is the shareable execution primitive: the batch scheduler
-    /// pulls single shots from it, while [`Self::run`] drives it through the
-    /// strided Monte-Carlo loop. Either way, shot `i` yields the same sample.
+    /// pulls single shots from it, while [`Self::run`] drives it through
+    /// [`execute`]. Either way, shot `i` yields the same sample.
     pub fn engine(&self, circuit: &Circuit) -> ShotEngine {
-        ShotEngine::new(
-            circuit,
-            self.backend,
-            self.config.noise,
-            self.config.seed,
-            self.opt_level,
-        )
-        .with_intra_threads(self.config.intra_threads)
+        ShotEngine::new(circuit, self.backend, self.noise, self.seed, self.opt_level)
+            .with_intra_threads(self.intra_threads)
     }
 
-    fn drive_deadline(
-        &self,
-        engine: &ShotEngine,
-        observables: &[Observable],
-        deadline: &Deadline,
-    ) -> Result<StochasticOutcome, TimedOut> {
-        if let Some(options) = &self.config.weighted {
-            return crate::weighted::run_engine_weighted_deadline(
-                engine,
-                self.config.shots,
-                self.config.threads,
-                observables,
-                options,
-                deadline,
-            );
-        }
-        if self.config.dedup {
-            run_engine_dedup_deadline(
-                engine,
-                self.config.shots,
-                self.config.threads,
-                observables,
-                deadline,
-            )
-        } else {
-            run_engine_deadline(
-                engine,
-                self.config.shots,
-                self.config.threads,
-                observables,
-                deadline,
-            )
+    /// The [`RunPlan`] of one run under `deadline`.
+    fn plan(&self, deadline: Deadline) -> RunPlan {
+        RunPlan {
+            shots: self.shots,
+            threads: self.threads,
+            mode: RunMode::requested(self.weighted.as_ref(), self.dedup),
+            deadline,
         }
     }
 }
@@ -426,7 +415,7 @@ mod tests {
             StochasticSimulator::new()
                 .with_shots(200)
                 .with_seed(2)
-                .with_weighted(crate::weighted::WeightedOptions::default()),
+                .with_weighted(WeightedOptions::default()),
         ] {
             let result = simulator.run_with_observables_deadline(&circuit, &[], &spent);
             assert_eq!(result.unwrap_err(), TimedOut);

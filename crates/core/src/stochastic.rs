@@ -1,150 +1,127 @@
-//! The concurrent Monte-Carlo runner.
+//! The Monte-Carlo driver.
 //!
 //! Stochastic quantum circuit simulation needs many independent runs to form
 //! accurate empirical averages (Theorem 1). Because the runs are i.i.d.,
-//! they parallelise perfectly: the runner compiles the circuit **once**
-//! (resolving every operator the shots will need), partitions the requested
-//! shot count over worker threads, hands each worker one reusable execution
-//! context (rewound, not rebuilt, between shots), gives every *shot* its
-//! own deterministically derived random number generator (so results do not
-//! depend on the thread count), and merges the per-worker histograms and
-//! observable sums in worker order at the end. This is the "concurrency
-//! across simulation runs" idea of Section IV-C of the paper, with the
-//! per-circuit work amortised across the whole shot loop.
+//! they parallelise perfectly. [`execute`] is the one driver every caller
+//! goes through: it takes a [`ShotEngine`] (the circuit compiled **once**),
+//! the caller's [`ExecContext`] and a [`RunPlan`], deals the job's work
+//! items over `threads` workers — the caller's context is worker 0, every
+//! further worker gets a context of its own that is rewound, not rebuilt,
+//! between shots — and merges the per-worker histograms and observable sums
+//! in worker order at the end. Every *shot* derives its own random number
+//! generator from the master seed and its index, so results do not depend
+//! on the thread count. This is the "concurrency across simulation runs"
+//! idea of Section IV-C of the paper, with the per-circuit work amortised
+//! across the whole shot loop.
+//!
+//! The plan's [`RunMode`] picks what a work item is:
+//!
+//! * [`RunMode::PerShot`] — one shot; worker `w` runs shots `w, w + T, …`.
+//! * [`RunMode::Dedup`] — shots are presampled and grouped by error pattern
+//!   first (see [`crate::dedup`]); a work item is one trajectory group or
+//!   one live shot, dealt round-robin.
+//! * [`RunMode::Weighted`] — error patterns are enumerated by probability
+//!   and weighted exactly on the caller's context (see [`crate::weighted`]).
+//!
+//! A mode the engine cannot run falls back once, up front: weighted to
+//! dedup, dedup to per-shot.
 //!
 //! # Determinism
 //!
-//! * Histograms and error counts are identical for every thread count (shot
-//!   `i` depends on the master seed and `i` alone; integer merges are
-//!   order-independent).
+//! * Histograms and error counts are identical for every thread count and
+//!   every mode but weighted (shot `i` depends on the master seed and `i`
+//!   alone; integer merges are order-independent).
 //! * Observable estimates are floating-point sums, so their *low bits*
 //!   depend on the summation grouping and therefore on the thread count —
-//!   but for a **fixed** thread count they are bit-stable: partial sums are
-//!   merged in worker-index order, never in completion order.
+//!   but for a **fixed** thread count they are bit-stable and identical
+//!   across per-shot and dedup: partial sums are folded in the per-worker
+//!   strided shot order and merged in worker-index order, never in
+//!   completion order.
 //! * Context reuse never affects any of the above: a reused context
 //!   produces bit-identical shots to a fresh one.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qsdd_circuit::Circuit;
-use qsdd_noise::NoiseModel;
+use qsdd_dd::{IntraPool, TableStats};
 use qsdd_telemetry::trace;
 use qsdd_telemetry::{Stage, StageTimings};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use std::sync::Arc;
-
-use qsdd_dd::IntraPool;
-
-use crate::backend::StochasticBackend;
 use crate::deadline::{Deadline, TimedOut};
-use crate::dedup::{run_dedup, DedupStats};
+use crate::dedup::{DedupStats, Work};
 use crate::estimator::{Observable, ObservableAccumulator};
-use crate::shot_engine::ShotEngine;
+use crate::shot_engine::{ExecContext, ShotEngine, ShotSample};
+use crate::weighted::WeightedOptions;
 
-/// Configuration of a stochastic simulation.
+/// How [`execute`] runs a job's shots.
 #[derive(Clone, Debug, PartialEq)]
-pub struct StochasticConfig {
-    /// Number of independent simulation runs (samples).
+pub enum RunMode {
+    /// Every shot executes live.
+    PerShot,
+    /// Shots are presampled and grouped by error pattern; each distinct
+    /// trajectory is simulated once (see [`crate::dedup`]). Results are
+    /// byte-identical to [`RunMode::PerShot`].
+    Dedup,
+    /// Error patterns are enumerated in probability order and their exact
+    /// outcome distributions weighted, with sampled shots covering only the
+    /// residual mass (see [`crate::weighted`]). Serial on the caller's
+    /// context, whatever the plan's thread count.
+    Weighted(WeightedOptions),
+}
+
+impl RunMode {
+    /// The mode a job's settings ask for: weighted enumeration when it
+    /// carries weighted options, otherwise dedup or per-shot by its `dedup`
+    /// flag.
+    pub fn requested(weighted: Option<&WeightedOptions>, dedup: bool) -> RunMode {
+        match weighted {
+            Some(options) => RunMode::Weighted(options.clone()),
+            None if dedup => RunMode::Dedup,
+            None => RunMode::PerShot,
+        }
+    }
+
+    /// The mode `engine` can actually run: weighted enumeration falls back
+    /// to dedup, and dedup to per-shot, when the compiled program does not
+    /// support it. The only place the fallback is decided.
+    fn resolve(&self, engine: &ShotEngine) -> RunMode {
+        match self {
+            RunMode::Weighted(_) if engine.supports_weighted() => self.clone(),
+            RunMode::Weighted(_) | RunMode::Dedup if engine.supports_dedup() => RunMode::Dedup,
+            _ => RunMode::PerShot,
+        }
+    }
+}
+
+/// One job for [`execute`]: how many shots, on how many workers, in which
+/// mode, and within which budget.
+#[derive(Clone, Debug)]
+pub struct RunPlan {
+    /// Number of independent simulation runs (samples). A weighted run with
+    /// zero shots still enumerates (the exact-histogram deliverable).
     pub shots: usize,
-    /// Number of worker threads; `0` uses the machine's available
-    /// parallelism.
+    /// Number of workers, the caller's context included; `0` uses the
+    /// machine's available parallelism. Capped at the shot count.
     pub threads: usize,
-    /// Master seed; every shot derives its own generator from it, so results
-    /// are reproducible and independent of the thread count.
-    pub seed: u64,
-    /// The noise model applied after every gate.
-    pub noise: NoiseModel,
-    /// Whether to deduplicate shots by presampled error pattern (see
-    /// [`crate::dedup`]). On by default; results are byte-identical either
-    /// way, so turning it off is only useful for benchmarking the per-shot
-    /// path.
-    pub dedup: bool,
-    /// When set, runs the weighted-enumeration driver (see
-    /// [`crate::weighted`]): error patterns are enumerated in probability
-    /// order and their outcome distributions weighted exactly, with
-    /// rejection-sampled shots covering only the residual mass. Falls back
-    /// to the configured sampling path when the program does not support
-    /// enumeration.
-    pub weighted: Option<crate::weighted::WeightedOptions>,
-    /// Intra-shot parallelism width: the number of fork-join workers every
-    /// shot's own execution (diagram operations, dense kernels) may split
-    /// across. `1` (the default) keeps shots serial. The request is clamped
-    /// against the shot-worker count so the two levels of parallelism never
-    /// oversubscribe the machine; results are bit-identical for every
-    /// setting.
-    pub intra_threads: usize,
+    /// What a work item is; see [`RunMode`].
+    pub mode: RunMode,
+    /// Cooperative budget, checked between work items; on expiry the run
+    /// returns [`TimedOut`] with no partial results.
+    pub deadline: Deadline,
 }
 
-impl StochasticConfig {
-    /// A configuration with the paper's noise model and a given shot count.
-    pub fn new(shots: usize) -> Self {
-        StochasticConfig {
+impl RunPlan {
+    /// A plan without a deadline.
+    pub fn new(shots: usize, threads: usize, mode: RunMode) -> RunPlan {
+        RunPlan {
             shots,
-            threads: 0,
-            seed: 0xD1CE_5EED,
-            noise: NoiseModel::paper_defaults(),
-            dedup: true,
-            weighted: None,
-            intra_threads: 1,
+            threads,
+            mode,
+            deadline: Deadline::unbounded(),
         }
-    }
-
-    /// Sets the number of worker threads.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the noise model.
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
-    }
-
-    /// Enables or disables trajectory deduplication.
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
-    /// Enables the weighted-enumeration driver with the given options
-    /// (see [`crate::weighted`]).
-    pub fn with_weighted(mut self, options: crate::weighted::WeightedOptions) -> Self {
-        self.weighted = Some(options);
-        self
-    }
-
-    /// Sets the intra-shot parallelism width (`1` = serial shots).
-    pub fn with_intra_threads(mut self, intra_threads: usize) -> Self {
-        self.intra_threads = intra_threads.max(1);
-        self
-    }
-
-    /// Resolves the effective number of worker threads.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-}
-
-impl Default for StochasticConfig {
-    fn default() -> Self {
-        StochasticConfig::new(1024)
     }
 }
 
@@ -271,14 +248,12 @@ impl StochasticOutcome {
     }
 }
 
-/// Everything one worker accumulated over its strided share of the shots.
+/// Everything one worker accumulated over its share of the shots.
 ///
-/// Also replayed by the deduplicating runner ([`crate::dedup`]) to
-/// reproduce this module's exact per-worker summation order. The local
-/// histogram uses the fast in-process hasher (one entry per shot is the
-/// single hottest map operation of the loop); the merged result is
+/// The local histogram uses the fast in-process hasher (one entry per shot
+/// is the single hottest map operation of the loop); the merged result is
 /// converted to the outcome's ordinary map.
-pub(crate) struct WorkerPartial {
+struct WorkerPartial {
     counts: crate::fxhash::FxHashMap<u64, u64>,
     observables: ObservableAccumulator,
     errors: u64,
@@ -287,7 +262,7 @@ pub(crate) struct WorkerPartial {
 }
 
 impl WorkerPartial {
-    pub(crate) fn new(observables: usize) -> Self {
+    fn new(observables: usize) -> Self {
         WorkerPartial {
             counts: crate::fxhash::FxHashMap::default(),
             observables: ObservableAccumulator::new(observables),
@@ -297,444 +272,375 @@ impl WorkerPartial {
         }
     }
 
-    pub(crate) fn record(
-        &mut self,
-        outcome: u64,
-        errors: u64,
-        nodes: u64,
-        peak: u64,
-        values: &[f64],
-    ) {
-        *self.counts.entry(outcome).or_insert(0) += 1;
-        self.errors += errors;
-        self.nodes_sum += nodes;
-        self.nodes_peak = self.nodes_peak.max(peak);
+    fn record(&mut self, sample: &ShotSample, values: &[f64]) {
+        *self.counts.entry(sample.outcome).or_insert(0) += 1;
+        self.errors += sample.error_events;
+        self.nodes_sum += sample.dd_nodes;
+        self.nodes_peak = self.nodes_peak.max(sample.dd_nodes_peak);
         if !values.is_empty() {
             self.observables.add(values);
         }
     }
 }
 
+/// Where a worker puts the records of its shots.
+enum Sink {
+    /// Folded as they arrive: the worker's own order already is the strided
+    /// shot order (per-shot mode), or only order-independent integer
+    /// aggregates are kept (no observables).
+    Partial(WorkerPartial),
+    /// Kept per shot and folded in the strided shot order afterwards (dedup
+    /// mode with observables, whose floating-point sums are order-sensitive).
+    Records(Vec<(u64, ShotSample, Vec<f64>)>),
+}
+
+impl Sink {
+    fn record(&mut self, shot: u64, sample: ShotSample, values: Vec<f64>) {
+        match self {
+            Sink::Partial(partial) => partial.record(&sample, &values),
+            Sink::Records(records) => records.push((shot, sample, values)),
+        }
+    }
+}
+
+/// One worker's work items, in execution order.
+type Share = Box<dyn Iterator<Item = Work> + Send>;
+
+/// The read-only side of a per-shot or dedup run, shared by its workers.
+struct SampledRun<'a> {
+    engine: &'a ShotEngine,
+    /// Observables mapped onto the executed circuit.
+    observables: &'a [Observable],
+    deadline: &'a Deadline,
+    dedup: bool,
+    keep_records: bool,
+    workers: usize,
+    /// Set when several workers trace, each on a lane of its own.
+    trace: Option<trace::TraceHandle>,
+}
+
+impl SampledRun<'_> {
+    /// Runs worker `worker`'s share in `ctx`; `None` when the deadline
+    /// expired first.
+    fn work(&self, worker: usize, ctx: &mut ExecContext, share: Share) -> Option<Sink> {
+        let _lane = self
+            .trace
+            .as_ref()
+            .map(|handle| handle.install(worker as u32 + 1));
+        // Several workers each open a worker span; a lone worker runs on the
+        // caller's lane, where the per-shot loop is its own span.
+        let outer = if self.workers > 1 {
+            let span = trace::span(if self.dedup {
+                "worker_trajectories"
+            } else {
+                "worker_shots"
+            });
+            trace::attr("worker", worker);
+            Some(span)
+        } else if !self.dedup {
+            let span = trace::span(if ctx.intra_pool().is_some() {
+                "intra_shots"
+            } else {
+                "shots"
+            });
+            if let Some(pool) = ctx.intra_pool() {
+                trace::attr("intra_width", pool.threads());
+            }
+            Some(span)
+        } else {
+            None
+        };
+        let loop_dd_before = if self.dedup {
+            None
+        } else {
+            trace_dd_stats(ctx)
+        };
+        let bounded = !self.deadline.is_unbounded();
+        let mut sink = if self.keep_records {
+            Sink::Records(Vec::new())
+        } else {
+            Sink::Partial(WorkerPartial::new(self.observables.len()))
+        };
+        let mut items = 0usize;
+        let mut live = 0usize;
+        let mut live_span = None;
+        for item in share {
+            if bounded && self.deadline.expired() {
+                // `expired` latched the shared flag, so sibling workers
+                // exit on their next check too.
+                return None;
+            }
+            match item {
+                Work::Group { pattern, mut shots } => {
+                    let _group = trace::span("trajectory_group");
+                    trace::attr("members", shots.len());
+                    let dd_before = trace_dd_stats(ctx);
+                    for (shot, sample, values) in
+                        self.engine
+                            .run_group_in(ctx, &pattern, &mut shots, self.observables)
+                    {
+                        sink.record(shot, sample, values);
+                    }
+                    trace_dd_attrs(ctx, dd_before);
+                }
+                Work::Live(shot) => {
+                    // Dedup deals live shots after every group.
+                    if self.dedup && live_span.is_none() {
+                        live_span = Some(trace::span("live_shots"));
+                    }
+                    let (sample, values) =
+                        self.engine
+                            .run_shot_with_observables_in(ctx, shot, self.observables);
+                    sink.record(shot, sample, values);
+                    live += 1;
+                }
+            }
+            items += 1;
+        }
+        if live_span.is_some() {
+            trace::attr("shots", live);
+        }
+        drop(live_span);
+        if outer.is_some() {
+            trace::attr(if self.dedup { "items" } else { "shots" }, items);
+            trace_dd_attrs(ctx, loop_dd_before);
+        }
+        Some(sink)
+    }
+}
+
+/// Folds the workers' sinks into per-worker partials in the strided shot
+/// order — worker `w` of `W` owns shots `w, w + W, …`, the order per-shot
+/// mode records in directly — so observable sums are bit-identical across
+/// modes for a fixed worker count.
+fn fold_sinks(sinks: Vec<Sink>, shots: usize, observables: usize) -> Vec<WorkerPartial> {
+    let workers = sinks.len();
+    let mut partials = Vec::with_capacity(workers);
+    let mut records: Vec<Option<(ShotSample, Vec<f64>)>> = Vec::new();
+    for sink in sinks {
+        match sink {
+            Sink::Partial(partial) => partials.push(partial),
+            Sink::Records(list) => {
+                records.resize_with(shots, || None);
+                for (shot, sample, values) in list {
+                    records[shot as usize] = Some((sample, values));
+                }
+            }
+        }
+    }
+    if records.is_empty() {
+        return partials;
+    }
+    (0..workers)
+        .map(|worker| {
+            let mut partial = WorkerPartial::new(observables);
+            for record in records.iter().skip(worker).step_by(workers) {
+                let (sample, values) = record
+                    .as_ref()
+                    .expect("every shot is covered by exactly one work item");
+                partial.record(sample, values);
+            }
+            partial
+        })
+        .collect()
+}
+
 /// Merges per-worker partials **in worker-index order** (bit-stable
-/// floating-point sums for a fixed thread count) into an outcome.
-pub(crate) fn merge_partials(
-    partials: Vec<Option<WorkerPartial>>,
+/// floating-point sums for a fixed worker count) into an outcome.
+fn merge_partials(
+    partials: Vec<WorkerPartial>,
     shots: usize,
     observables: usize,
     threads: usize,
-    started: Instant,
 ) -> StochasticOutcome {
-    let mut counts: HashMap<u64, u64> = HashMap::new();
+    let mut outcome = StochasticOutcome::empty(observables, threads, Duration::ZERO);
     let mut merged = ObservableAccumulator::new(observables);
-    let mut errors = 0u64;
     let mut nodes_sum = 0u64;
-    let mut nodes_peak = 0u64;
-    for partial in partials.into_iter().flatten() {
-        for (outcome, count) in partial.counts {
-            *counts.entry(outcome).or_insert(0) += count;
+    for partial in partials {
+        for (outcome_index, count) in partial.counts {
+            *outcome.counts.entry(outcome_index).or_insert(0) += count;
         }
         merged.merge(&partial.observables);
-        errors += partial.errors;
+        outcome.error_events += partial.errors;
         nodes_sum += partial.nodes_sum;
-        nodes_peak = nodes_peak.max(partial.nodes_peak);
+        outcome.dd_nodes_peak = outcome.dd_nodes_peak.max(partial.nodes_peak);
     }
-    StochasticOutcome {
-        counts,
-        shots,
-        observable_estimates: merged.means(),
-        error_events: errors,
-        dd_nodes_avg: if shots == 0 {
-            0.0
-        } else {
-            nodes_sum as f64 / shots as f64
-        },
-        dd_nodes_peak: nodes_peak,
-        wall_time: started.elapsed(),
-        threads,
-        dedup: None,
-        weighted: None,
-        stage_timings: StageTimings::new(),
-    }
+    outcome.shots = shots;
+    outcome.observable_estimates = merged.means();
+    outcome.dd_nodes_avg = nodes_sum as f64 / shots as f64;
+    outcome
 }
 
-/// Runs `config.shots` independent stochastic simulations of `circuit` on
-/// `backend`, estimating the given observables along the way.
-///
-/// The circuit is compiled once ([`StochasticBackend::compile`]); shots are
-/// distributed over worker threads ([`StochasticConfig::threads`]), each
-/// worker executing its strided share through one reusable context. Every
-/// shot uses a random number generator derived deterministically from the
-/// master seed and the shot index, so the histogram is independent of how
-/// shots are assigned to threads.
-///
-/// When [`StochasticConfig::dedup`] is on (the default) and the compiled
-/// program supports it, shots are deduplicated by presampled error pattern
-/// (see [`crate::dedup`]): each distinct trajectory is simulated once and
-/// fanned out over its shots. The results — histograms, error counts, node
-/// statistics and the bit patterns of the observable sums — are identical
-/// either way.
-pub fn run_stochastic<B: StochasticBackend>(
-    backend: &B,
-    circuit: &Circuit,
-    config: &StochasticConfig,
+/// Runs a per-shot or dedup job of `plan.shots > 0` shots on
+/// `threads.min(shots)` workers: presamples and groups the shots (dedup),
+/// deals the work items, executes them with the caller's context as worker
+/// 0 and folds the records. Also returns the table traffic of the spawned
+/// workers' contexts.
+fn run_sampled(
+    engine: &ShotEngine,
+    ctx: &mut ExecContext,
+    plan: &RunPlan,
+    dedup: bool,
+    threads: usize,
     observables: &[Observable],
-) -> StochasticOutcome {
-    let started = Instant::now();
-    if config.shots == 0 {
-        // Nothing to run: return an empty outcome without spawning workers,
-        // still reporting the resolved worker count for consistency.
-        return StochasticOutcome::empty(
-            observables.len(),
-            config.effective_threads(),
-            started.elapsed(),
-        );
-    }
-    let compile_started = Instant::now();
-    let program = backend.compile(circuit, &config.noise);
-    let compile_time = compile_started.elapsed();
-    let threads = config.effective_threads().max(1).min(config.shots);
-    let intra = build_intra_pool(config.intra_threads, threads);
-    if config.dedup {
-        if let Some(support) = backend.dedup_support(&program) {
-            let mut outcome = run_dedup(
-                backend,
-                &program,
-                &support,
-                config.shots,
-                threads,
-                config.seed,
-                observables,
-                None,
-                intra.as_ref(),
-                started,
-                &Deadline::unbounded(),
-            )
-            .expect("an unbounded deadline never expires");
-            outcome.stage_timings.record(Stage::Compile, compile_time);
-            if intra.is_some() {
-                let execute_time = outcome.stage_timings.get(Stage::Execute);
-                outcome
-                    .stage_timings
-                    .record(Stage::IntraExecute, execute_time);
-            }
-            return outcome;
+) -> Result<(StochasticOutcome, TableStats), TimedOut> {
+    let shots = plan.shots;
+    let workers = threads.min(shots);
+    let mut timings = StageTimings::new();
+    let mut dedup_stats = None;
+    let shares: Vec<Share> = if dedup {
+        let presample_started = Instant::now();
+        let presample_span = trace::span("presample");
+        let (work, live_shots) = engine
+            .plan_shots(shots, workers)
+            .expect("dedup mode is only resolved for engines that support it");
+        trace::attr("shots", shots);
+        trace::attr("groups", work.len() - live_shots as usize);
+        trace::attr("live_shots", live_shots);
+        drop(presample_span);
+        timings.record(Stage::Presample, presample_started.elapsed());
+        dedup_stats = Some(DedupStats {
+            unique_trajectories: work.len() as u64,
+            live_shots,
+        });
+        // Items are dealt round-robin; the assignment does not influence any
+        // result (every record is a function of the program and the shot
+        // index alone).
+        let mut dealt: Vec<Vec<Work>> = (0..workers).map(|_| Vec::new()).collect();
+        for (item, worker) in work.into_iter().zip((0..workers).cycle()) {
+            dealt[worker].push(item);
         }
-    }
-    let mut partials: Vec<Option<WorkerPartial>> = (0..threads).map(|_| None).collect();
-    let execute_started = Instant::now();
+        dealt
+            .into_iter()
+            .map(|items| Box::new(items.into_iter()) as Share)
+            .collect()
+    } else {
+        (0..workers)
+            .map(|worker| {
+                let strided = (worker as u64..shots as u64).step_by(workers);
+                Box::new(strided.map(Work::Live)) as Share
+            })
+            .collect()
+    };
 
-    let trace_handle = trace::propagate();
+    let run = SampledRun {
+        engine,
+        observables,
+        deadline: &plan.deadline,
+        dedup,
+        keep_records: dedup && !observables.is_empty(),
+        workers,
+        trace: if workers > 1 {
+            trace::propagate()
+        } else {
+            None
+        },
+    };
+    let intra = ctx.intra_pool().cloned();
+    let mut shares = shares.into_iter();
+    let own_share = shares.next().expect("a run has at least one worker");
+    let mut own = None;
+    let mut spawned: Vec<Option<(Sink, TableStats)>> = (1..workers).map(|_| None).collect();
+    let execute_started = Instant::now();
     std::thread::scope(|scope| {
-        for (worker, slot) in partials.iter_mut().enumerate() {
-            let program = &program;
-            let observables = &observables;
-            let config = &config;
-            let intra = intra.as_ref();
-            let trace_handle = trace_handle.clone();
+        for ((worker, share), slot) in (1..).zip(shares).zip(&mut spawned) {
+            let run = &run;
+            let intra = intra.clone();
             scope.spawn(move || {
-                let _lane = trace_handle.as_ref().map(|h| h.install(worker as u32 + 1));
-                let _span = trace::span("worker_shots");
-                trace::attr("worker", worker);
-                let mut ctx = backend.new_context();
-                if let Some(pool) = intra {
-                    backend.set_intra_pool(&mut ctx, Some(Arc::clone(pool)));
-                }
-                let mut partial = WorkerPartial::new(observables.len());
-                let mut executed = 0usize;
-                let mut shot = worker;
-                while shot < config.shots {
-                    let mut rng = shot_rng(config.seed, shot as u64);
-                    let mut run = backend.run_shot(program, &mut ctx, &mut rng);
-                    let values: Vec<f64> = observables
-                        .iter()
-                        .map(|o| backend.evaluate(program, &mut ctx, &mut run, o))
-                        .collect();
-                    partial.record(
-                        run.outcome,
-                        run.error_events as u64,
-                        run.dd_nodes,
-                        run.dd_nodes_peak,
-                        &values,
-                    );
-                    executed += 1;
-                    shot += threads;
-                }
-                trace::attr("shots", executed);
-                *slot = Some(partial);
+                let mut ctx = ExecContext::new();
+                ctx.set_intra_pool(intra);
+                *slot = run
+                    .work(worker, &mut ctx, share)
+                    .map(|sink| (sink, ctx.dd_table_stats()));
             });
         }
+        own = run.work(0, ctx, own_share);
     });
-    let execute_time = execute_started.elapsed();
+    timings.record(Stage::Execute, execute_started.elapsed());
+    // A timed-out run exposes no partial aggregates.
+    let mut sinks = vec![own.ok_or(TimedOut)?];
+    let mut spawned_tables = TableStats::default();
+    for slot in spawned {
+        let (sink, tables) = slot.ok_or(TimedOut)?;
+        sinks.push(sink);
+        spawned_tables = spawned_tables + tables;
+    }
 
     let aggregate_started = Instant::now();
-    let mut outcome = merge_partials(partials, config.shots, observables.len(), threads, started);
-    outcome.stage_timings.record(Stage::Compile, compile_time);
-    outcome.stage_timings.record(Stage::Execute, execute_time);
-    if intra.is_some() {
-        outcome
-            .stage_timings
-            .record(Stage::IntraExecute, execute_time);
-    }
-    outcome
-        .stage_timings
-        .record(Stage::Aggregate, aggregate_started.elapsed());
-    outcome
+    let aggregate_span = trace::span("aggregate");
+    let partials = fold_sinks(sinks, shots, observables.len());
+    let mut outcome = merge_partials(partials, shots, observables.len(), workers);
+    drop(aggregate_span);
+    timings.record(Stage::Aggregate, aggregate_started.elapsed());
+    outcome.stage_timings = timings;
+    outcome.dedup = dedup_stats;
+    Ok((outcome, spawned_tables))
 }
 
-/// Runs `shots` independent stochastic shots on a prepared [`ShotEngine`],
-/// estimating the given observables along the way.
+/// Runs `plan.shots` stochastic shots of `engine`'s circuit, estimating the
+/// given observables along the way — the one Monte-Carlo driver (see the
+/// module docs).
 ///
-/// This is the engine-driven twin of [`run_stochastic`]: the same strided
-/// shot loop, but executing through the re-entrant [`ShotEngine`] API that
-/// the batch scheduler shares, with one reusable
-/// [`ExecContext`](crate::ExecContext) per worker. Observables are remapped
-/// through the engine's output layout once, outcomes arrive already
-/// restored to the original circuit's qubit order, so no post-processing is
-/// required.
+/// The plan's mode falls back once, up front, to what the engine supports
+/// (weighted → dedup → per-shot). Per-shot and dedup runs use
+/// `plan.threads.min(plan.shots)` workers: `ctx` is worker 0 on the calling
+/// thread, and only further workers spawn threads, each with a context of
+/// its own. Weighted runs are serial on `ctx`. The intra-shot pool is the
+/// engine's request when it asks for more than one thread (clamped against
+/// the worker count and installed into `ctx`), and otherwise whatever pool
+/// `ctx` already carries. Observables are remapped through the engine's
+/// output layout once, and outcomes arrive in the original circuit's qubit
+/// order.
 ///
-/// `threads == 0` uses all available cores. Histograms are identical for
-/// every thread count because each shot derives its generator from the
-/// engine seed and the shot index alone.
-pub fn run_engine(
+/// Returns [`TimedOut`] — no partial results — when `plan.deadline` expires
+/// before the last work item; `ctx` stays reusable either way. A sampled
+/// run of zero shots returns an empty outcome reporting the resolved thread
+/// count; a weighted run of zero shots still enumerates.
+pub fn execute(
     engine: &ShotEngine,
-    shots: usize,
-    threads: usize,
+    ctx: &mut ExecContext,
+    plan: &RunPlan,
     observables: &[Observable],
-) -> StochasticOutcome {
-    run_engine_deadline(engine, shots, threads, observables, &Deadline::unbounded())
-        .expect("an unbounded deadline never expires")
-}
-
-/// [`run_engine`] under a cooperative [`Deadline`]: workers check the
-/// budget before every shot and the run returns [`TimedOut`] — no partial
-/// aggregates — when any worker observed expiry before finishing. With
-/// [`Deadline::unbounded`] the check is a hoisted boolean, so this *is*
-/// [`run_engine`].
-pub fn run_engine_deadline(
-    engine: &ShotEngine,
-    shots: usize,
-    threads: usize,
-    observables: &[Observable],
-    deadline: &Deadline,
 ) -> Result<StochasticOutcome, TimedOut> {
     let started = Instant::now();
-    let threads = if threads > 0 {
-        threads
+    let mode = plan.mode.resolve(engine);
+    let weighted = matches!(mode, RunMode::Weighted(_));
+    let threads = if weighted {
+        1
+    } else if plan.threads > 0 {
+        plan.threads
     } else {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     };
-    if shots == 0 {
-        // Nothing to run: return an empty outcome without spawning workers,
-        // still reporting the resolved worker count for consistency.
+    if plan.shots == 0 && !weighted {
         return Ok(StochasticOutcome::empty(
             observables.len(),
             threads,
             started.elapsed(),
         ));
     }
-    let threads = threads.min(shots);
-    let intra = build_intra_pool(engine.intra_threads(), threads);
-    let mapped = engine.map_observables(observables);
-    let mut partials: Vec<Option<WorkerPartial>> = (0..threads).map(|_| None).collect();
-    let aborted = AtomicBool::new(false);
-
-    let execute_started = Instant::now();
-    let trace_handle = trace::propagate();
-    std::thread::scope(|scope| {
-        for (worker, slot) in partials.iter_mut().enumerate() {
-            let mapped = &mapped;
-            let intra = intra.as_ref();
-            let aborted = &aborted;
-            let trace_handle = trace_handle.clone();
-            scope.spawn(move || {
-                let _lane = trace_handle.as_ref().map(|h| h.install(worker as u32 + 1));
-                let _span = trace::span("worker_shots");
-                trace::attr("worker", worker);
-                let mut ctx = engine.new_context();
-                if let Some(pool) = intra {
-                    ctx.set_intra_pool(Some(Arc::clone(pool)));
-                }
-                let bounded = !deadline.is_unbounded();
-                let mut partial = WorkerPartial::new(mapped.len());
-                let mut executed = 0usize;
-                let mut shot = worker;
-                while shot < shots {
-                    if bounded && deadline.expired() {
-                        // `expired` latched the shared flag, so sibling
-                        // workers exit on their next check too.
-                        aborted.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    let (sample, values) =
-                        engine.run_shot_with_observables_in(&mut ctx, shot as u64, mapped);
-                    partial.record(
-                        sample.outcome,
-                        sample.error_events,
-                        sample.dd_nodes,
-                        sample.dd_nodes_peak,
-                        &values,
-                    );
-                    executed += 1;
-                    shot += threads;
-                }
-                trace::attr("shots", executed);
-                *slot = Some(partial);
-            });
-        }
-    });
-    if aborted.load(Ordering::Relaxed) {
-        return Err(TimedOut);
-    }
-    let execute_time = execute_started.elapsed();
-
-    let aggregate_started = Instant::now();
-    let mut outcome = merge_partials(partials, shots, observables.len(), threads, started);
-    outcome.stage_timings = engine.stage_timings();
-    outcome.stage_timings.record(Stage::Execute, execute_time);
-    if intra.is_some() {
-        outcome
-            .stage_timings
-            .record(Stage::IntraExecute, execute_time);
-    }
-    outcome
-        .stage_timings
-        .record(Stage::Aggregate, aggregate_started.elapsed());
-    Ok(outcome)
-}
-
-/// The deduplicating twin of [`run_engine`]: shots are presampled and
-/// grouped by error pattern, each distinct trajectory is simulated once,
-/// and the results fan out per shot (see [`crate::dedup`]).
-///
-/// Falls back to [`run_engine`] when the engine's program does not support
-/// deduplication (a state-dependent channel outside the precomputed
-/// trajectory, or a dominating non-unitary tail). Results are byte-identical
-/// to [`run_engine`] for every seed and thread count — including the bit
-/// patterns of the observable sums — so callers may pick purely by
-/// expected performance.
-pub fn run_engine_dedup(
-    engine: &ShotEngine,
-    shots: usize,
-    threads: usize,
-    observables: &[Observable],
-) -> StochasticOutcome {
-    run_engine_dedup_deadline(engine, shots, threads, observables, &Deadline::unbounded())
-        .expect("an unbounded deadline never expires")
-}
-
-/// [`run_engine_dedup`] under a cooperative [`Deadline`]: workers check
-/// the budget between trajectory work items (one group or one live shot)
-/// and the run returns [`TimedOut`] when it expired before completion.
-/// The per-shot fallback inherits the same deadline.
-pub fn run_engine_dedup_deadline(
-    engine: &ShotEngine,
-    shots: usize,
-    threads: usize,
-    observables: &[Observable],
-    deadline: &Deadline,
-) -> Result<StochasticOutcome, TimedOut> {
-    let started = Instant::now();
-    let resolved = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    if shots == 0 {
-        return Ok(StochasticOutcome::empty(
-            observables.len(),
-            resolved,
-            started.elapsed(),
-        ));
-    }
-    let workers = resolved.min(shots);
-    let intra = build_intra_pool(engine.intra_threads(), workers);
-    match engine.dedup_outcome(
-        shots,
-        workers,
-        observables,
-        intra.as_ref(),
-        started,
-        deadline,
-    ) {
-        Some(result) => result.map(|mut outcome| {
-            outcome.stage_timings.merge(&engine.stage_timings());
-            if intra.is_some() {
-                let execute_time = outcome.stage_timings.get(Stage::Execute);
-                outcome
-                    .stage_timings
-                    .record(Stage::IntraExecute, execute_time);
-            }
-            outcome
-        }),
-        None => run_engine_deadline(engine, shots, threads, observables, deadline),
-    }
-}
-
-/// Runs a whole job — `shots` stochastic shots plus observable estimation —
-/// **inside the caller's execution context**, on the calling thread.
-///
-/// This is the job-execution entry the long-lived `qsdd-server` worker pool
-/// runs on: a worker owns one [`ExecContext`](crate::ExecContext) for its
-/// whole lifetime and executes every job it picks up through this function,
-/// so per-circuit state from previous jobs is rewound — not rebuilt — and
-/// the PR-3 context-reuse path amortises across requests. Unlike
-/// [`run_engine`] / [`run_engine_dedup`] it spawns no threads of its own;
-/// callers that want parallelism run several jobs on several workers.
-///
-/// With `dedup` enabled (and supported by the engine's program) the
-/// trajectory-deduplicating driver executes each distinct presampled error
-/// pattern once (see [`crate::dedup`]); otherwise every shot runs live. The
-/// result is **byte-identical** to `run_engine_dedup(engine, shots, 1,
-/// observables)` respectively `run_engine(engine, shots, 1, observables)` —
-/// histograms, error counts, node statistics, dedup statistics and the bit
-/// patterns of the observable sums all match the single-threaded runner —
-/// which is what lets the server's result cache serve byte-stable reports.
-pub fn run_engine_in(
-    engine: &ShotEngine,
-    ctx: &mut crate::ExecContext,
-    shots: usize,
-    observables: &[Observable],
-    dedup: bool,
-) -> StochasticOutcome {
-    run_engine_in_deadline(
-        engine,
-        ctx,
-        shots,
-        observables,
-        dedup,
-        &Deadline::unbounded(),
-    )
-    .expect("an unbounded deadline never expires")
-}
-
-/// [`run_engine_in`] under a cooperative [`Deadline`] — the server
-/// worker-pool entry for jobs carrying a `timeout_ms`. The budget is
-/// checked between shots (and between trajectory groups on the dedup
-/// path); on expiry the job returns [`TimedOut`] with no partial results
-/// and the context remains reusable for the next job.
-pub fn run_engine_in_deadline(
-    engine: &ShotEngine,
-    ctx: &mut crate::ExecContext,
-    shots: usize,
-    observables: &[Observable],
-    dedup: bool,
-    deadline: &Deadline,
-) -> Result<StochasticOutcome, TimedOut> {
-    let started = Instant::now();
-    if shots == 0 {
-        return Ok(StochasticOutcome::empty(
-            observables.len(),
-            1,
-            started.elapsed(),
-        ));
+    if engine.intra_threads() > 1 {
+        let workers = threads.min(plan.shots.max(1));
+        ctx.set_intra_pool(build_intra_pool(engine.intra_threads(), workers));
     }
     let dd_before = ctx.dd_table_stats();
     let mapped = engine.map_observables(observables);
-    let mut outcome = run_engine_in_inner(engine, ctx, shots, &mapped, dedup, started, deadline)?;
+    let (mut outcome, spawned_tables) = match &mode {
+        RunMode::Weighted(options) => (
+            crate::weighted::run_weighted(
+                engine,
+                ctx,
+                plan.shots,
+                &mapped,
+                options,
+                &plan.deadline,
+            )?,
+            TableStats::default(),
+        ),
+        mode => run_sampled(engine, ctx, plan, *mode == RunMode::Dedup, threads, &mapped)?,
+    };
     outcome.stage_timings.merge(&engine.stage_timings());
     if ctx.intra_pool().is_some() {
         let execute_time = outcome.stage_timings.get(Stage::Execute);
@@ -742,91 +648,60 @@ pub fn run_engine_in_deadline(
             .stage_timings
             .record(Stage::IntraExecute, execute_time);
     }
-    publish_job_metrics(&outcome, ctx.dd_table_stats().since(&dd_before), ctx);
+    outcome.wall_time = started.elapsed();
+    let dd_delta = ctx.dd_table_stats().since(&dd_before) + spawned_tables;
+    publish_job_metrics(&outcome, dd_delta, ctx);
     Ok(outcome)
 }
 
-/// The timed body of [`run_engine_in`]: executes the shots and fills the
-/// presample/execute/aggregate entries of the outcome's stage breakdown
-/// (the engine's own transpile/compile times are merged by the caller).
-fn run_engine_in_inner(
+/// A whole job on the caller's context and thread, without a deadline:
+/// [`execute`] on one worker, in dedup mode when `dedup` is set and
+/// per-shot mode otherwise.
+pub fn run_engine_in(
     engine: &ShotEngine,
-    ctx: &mut crate::ExecContext,
+    ctx: &mut ExecContext,
     shots: usize,
-    mapped: &[Observable],
+    observables: &[Observable],
     dedup: bool,
-    started: Instant,
-    deadline: &Deadline,
-) -> Result<StochasticOutcome, TimedOut> {
-    if dedup {
-        let presample_started = Instant::now();
-        let presample_span = trace::span("presample");
-        let presampled = engine.presample_range(0..shots as u64);
-        trace::attr("shots", shots);
-        if let Some((groups, live)) = &presampled {
-            trace::attr("groups", groups.len());
-            trace::attr("live_shots", live.len());
-        }
-        drop(presample_span);
-        let presample_time = presample_started.elapsed();
-        if let Some((groups, live)) = presampled {
-            let mut outcome =
-                run_dedup_serial(engine, ctx, shots, mapped, groups, live, started, deadline)?;
-            outcome
-                .stage_timings
-                .record(Stage::Presample, presample_time);
-            return Ok(outcome);
-        }
-    }
-    let bounded = !deadline.is_unbounded();
-    let execute_started = Instant::now();
-    let shots_span = trace::span(if ctx.intra_pool().is_some() {
-        "intra_shots"
-    } else {
-        "shots"
-    });
-    trace::attr("shots", shots);
-    if let Some(pool) = ctx.intra_pool() {
-        trace::attr("intra_width", pool.threads());
-    }
-    let dd_before = trace_dd_stats(ctx);
-    let mut partial = WorkerPartial::new(mapped.len());
-    for shot in 0..shots as u64 {
-        if bounded && deadline.expired() {
-            return Err(TimedOut);
-        }
-        let (sample, values) = engine.run_shot_with_observables_in(ctx, shot, mapped);
-        partial.record(
-            sample.outcome,
-            sample.error_events,
-            sample.dd_nodes,
-            sample.dd_nodes_peak,
-            &values,
-        );
-    }
-    trace_dd_attrs(ctx, dd_before);
-    drop(shots_span);
-    let execute_time = execute_started.elapsed();
-    let aggregate_started = Instant::now();
-    let mut outcome = merge_partials(vec![Some(partial)], shots, mapped.len(), 1, started);
-    outcome.stage_timings.record(Stage::Execute, execute_time);
-    outcome
-        .stage_timings
-        .record(Stage::Aggregate, aggregate_started.elapsed());
-    Ok(outcome)
+) -> StochasticOutcome {
+    execute(
+        engine,
+        ctx,
+        &RunPlan::new(shots, 1, RunMode::requested(None, dedup)),
+        observables,
+    )
+    .expect("an unbounded deadline never expires")
+}
+
+/// A weighted-enumeration job on the caller's context and thread, without a
+/// deadline: [`execute`] in [`RunMode::Weighted`].
+pub fn run_engine_weighted_in(
+    engine: &ShotEngine,
+    ctx: &mut ExecContext,
+    shots: usize,
+    observables: &[Observable],
+    options: &WeightedOptions,
+) -> StochasticOutcome {
+    execute(
+        engine,
+        ctx,
+        &RunPlan::new(shots, 1, RunMode::Weighted(options.clone())),
+        observables,
+    )
+    .expect("an unbounded deadline never expires")
 }
 
 /// Snapshot of the context's decision-diagram table counters, taken only
 /// when the calling thread is actively traced (the stats walk both
 /// packages, so skip the work for un-traced runs).
-pub(crate) fn trace_dd_stats(ctx: &crate::ExecContext) -> Option<qsdd_dd::TableStats> {
+pub(crate) fn trace_dd_stats(ctx: &ExecContext) -> Option<TableStats> {
     trace::active().then(|| ctx.dd_table_stats())
 }
 
 /// Attaches the decision-diagram table-traffic delta since `before` to
 /// the innermost open span (the per-group / per-loop node and table-hit
 /// attributes the trace vocabulary promises).
-pub(crate) fn trace_dd_attrs(ctx: &crate::ExecContext, before: Option<qsdd_dd::TableStats>) {
+pub(crate) fn trace_dd_attrs(ctx: &ExecContext, before: Option<TableStats>) {
     if let Some(before) = before {
         let delta = ctx.dd_table_stats().since(&before);
         trace::attr("dd_compute_hits", delta.compute_hits);
@@ -846,11 +721,7 @@ pub(crate) fn trace_dd_attrs(ctx: &crate::ExecContext, before: Option<qsdd_dd::T
 /// traffic to the global telemetry registry. A no-op while telemetry is
 /// disabled — one relaxed atomic load — so the per-job cost off the
 /// serving path is negligible.
-pub(crate) fn publish_job_metrics(
-    outcome: &StochasticOutcome,
-    dd_delta: qsdd_dd::TableStats,
-    ctx: &crate::ExecContext,
-) {
+fn publish_job_metrics(outcome: &StochasticOutcome, dd_delta: TableStats, ctx: &ExecContext) {
     if !qsdd_telemetry::enabled() {
         return;
     }
@@ -944,138 +815,11 @@ pub(crate) fn publish_job_metrics(
     }
 }
 
-/// The single-context twin of the deduplicating driver: groups in
-/// first-appearance order, then live shots in index order, exactly the work
-/// order `run_dedup` deals to its only worker when `threads == 1` (so the
-/// aggregates — including the observable-sum bits, which replay the shot
-/// order — come out identical). The `deadline` is checked per group and per
-/// live shot.
-#[allow(clippy::too_many_arguments)]
-fn run_dedup_serial(
-    engine: &ShotEngine,
-    ctx: &mut crate::ExecContext,
-    shots: usize,
-    mapped: &[Observable],
-    groups: Vec<(qsdd_noise::ErrorPattern, Vec<(u64, StdRng)>)>,
-    live: Vec<u64>,
-    started: Instant,
-    deadline: &Deadline,
-) -> Result<StochasticOutcome, TimedOut> {
-    let stats = crate::dedup::DedupStats {
-        unique_trajectories: (groups.len() + live.len()) as u64,
-        live_shots: live.len() as u64,
-    };
-    let bounded = !deadline.is_unbounded();
-    let execute_started = Instant::now();
-    let mut outcome = if mapped.is_empty() {
-        // Integer-only aggregation: fold records as they are produced.
-        let mut partial = WorkerPartial::new(0);
-        for (pattern, mut members) in groups {
-            if bounded && deadline.expired() {
-                return Err(TimedOut);
-            }
-            let group_span = trace::span("trajectory_group");
-            trace::attr("members", members.len());
-            let dd_before = trace_dd_stats(ctx);
-            for (_, sample, _) in engine.run_group_in(ctx, &pattern, &mut members, &[]) {
-                partial.record(
-                    sample.outcome,
-                    sample.error_events,
-                    sample.dd_nodes,
-                    sample.dd_nodes_peak,
-                    &[],
-                );
-            }
-            trace_dd_attrs(ctx, dd_before);
-            drop(group_span);
-        }
-        let live_span = trace::span("live_shots");
-        trace::attr("shots", live.len());
-        for shot in live {
-            if bounded && deadline.expired() {
-                return Err(TimedOut);
-            }
-            let sample = engine.run_shot_in(ctx, shot);
-            partial.record(
-                sample.outcome,
-                sample.error_events,
-                sample.dd_nodes,
-                sample.dd_nodes_peak,
-                &[],
-            );
-        }
-        drop(live_span);
-        let execute_time = execute_started.elapsed();
-        let aggregate_started = Instant::now();
-        let aggregate_span = trace::span("aggregate");
-        let mut outcome = merge_partials(vec![Some(partial)], shots, 0, 1, started);
-        drop(aggregate_span);
-        outcome.stage_timings.record(Stage::Execute, execute_time);
-        outcome
-            .stage_timings
-            .record(Stage::Aggregate, aggregate_started.elapsed());
-        outcome
-    } else {
-        // Observable sums are order-sensitive: collect per-shot records,
-        // then replay them in shot-index order (the one-worker stride).
-        let mut records: Vec<Option<(crate::ShotSample, Vec<f64>)>> = Vec::new();
-        records.resize_with(shots, || None);
-        for (pattern, mut members) in groups {
-            if bounded && deadline.expired() {
-                return Err(TimedOut);
-            }
-            let group_span = trace::span("trajectory_group");
-            trace::attr("members", members.len());
-            let dd_before = trace_dd_stats(ctx);
-            for (shot, sample, values) in engine.run_group_in(ctx, &pattern, &mut members, mapped) {
-                records[shot as usize] = Some((sample, values));
-            }
-            trace_dd_attrs(ctx, dd_before);
-            drop(group_span);
-        }
-        let live_span = trace::span("live_shots");
-        trace::attr("shots", live.len());
-        for shot in live {
-            if bounded && deadline.expired() {
-                return Err(TimedOut);
-            }
-            let (sample, values) = engine.run_shot_with_observables_in(ctx, shot, mapped);
-            records[shot as usize] = Some((sample, values));
-        }
-        drop(live_span);
-        let execute_time = execute_started.elapsed();
-        let aggregate_started = Instant::now();
-        let aggregate_span = trace::span("aggregate");
-        let mut partial = WorkerPartial::new(mapped.len());
-        for record in &records {
-            let (sample, values) = record
-                .as_ref()
-                .expect("every shot is covered by exactly one group or live entry");
-            partial.record(
-                sample.outcome,
-                sample.error_events,
-                sample.dd_nodes,
-                sample.dd_nodes_peak,
-                values,
-            );
-        }
-        let mut outcome = merge_partials(vec![Some(partial)], shots, mapped.len(), 1, started);
-        drop(aggregate_span);
-        outcome.stage_timings.record(Stage::Execute, execute_time);
-        outcome
-            .stage_timings
-            .record(Stage::Aggregate, aggregate_started.elapsed());
-        outcome
-    };
-    outcome.dedup = Some(stats);
-    Ok(outcome)
-}
-
 /// Derives the per-shot random number generator from the master seed.
 ///
 /// This derivation is the determinism contract shared by every shot-executing
-/// path in the workspace ([`run_stochastic`], [`ShotEngine`], and through it
-/// the batch scheduler): shot `i` under seed `s` always sees the same
+/// path in the workspace ([`ShotEngine`], and through it [`execute`] and the
+/// batch scheduler): shot `i` under seed `s` always sees the same
 /// generator, regardless of threads or scheduling.
 pub(crate) fn shot_rng(seed: u64, shot: u64) -> StdRng {
     // SplitMix64-style mixing keeps neighbouring shot seeds uncorrelated.
@@ -1088,15 +832,27 @@ pub(crate) fn shot_rng(seed: u64, shot: u64) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dd_backend::DdSimulator;
-    use crate::dense_backend::DenseSimulator;
+    use crate::{BackendKind, OptLevel};
     use qsdd_circuit::generators::ghz;
+    use qsdd_circuit::Circuit;
+    use qsdd_noise::NoiseModel;
+
+    /// The seed the simulator facade defaults to.
+    const SEED: u64 = 0xD1CE_5EED;
+
+    fn engine(circuit: &Circuit, kind: BackendKind, noise: NoiseModel, seed: u64) -> ShotEngine {
+        ShotEngine::new(circuit, kind, noise, seed, OptLevel::O0)
+    }
+
+    fn dd_engine(circuit: &Circuit, noise: NoiseModel, seed: u64) -> ShotEngine {
+        engine(circuit, BackendKind::DecisionDiagram, noise, seed)
+    }
 
     #[test]
     fn histogram_counts_sum_to_shots() {
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(500).with_threads(4);
-        let outcome = run_stochastic(&backend, &ghz(6), &config, &[]);
+        let engine = dd_engine(&ghz(6), NoiseModel::paper_defaults(), SEED);
+        let plan = RunPlan::new(500, 4, RunMode::Dedup);
+        let outcome = execute(&engine, &mut ExecContext::new(), &plan, &[]).unwrap();
         let total: u64 = outcome.counts.values().sum();
         assert_eq!(total, 500);
         assert_eq!(outcome.shots, 500);
@@ -1107,10 +863,13 @@ mod tests {
 
     #[test]
     fn results_are_independent_of_thread_count() {
-        let backend = DdSimulator::new();
-        let base = StochasticConfig::new(200).with_seed(7);
-        let single = run_stochastic(&backend, &ghz(4), &base.clone().with_threads(1), &[]);
-        let multi = run_stochastic(&backend, &ghz(4), &base.with_threads(4), &[]);
+        let engine = dd_engine(&ghz(4), NoiseModel::paper_defaults(), 7);
+        let run = |threads| {
+            let plan = RunPlan::new(200, threads, RunMode::Dedup);
+            execute(&engine, &mut ExecContext::new(), &plan, &[]).unwrap()
+        };
+        let single = run(1);
+        let multi = run(4);
         assert_eq!(single.counts, multi.counts);
         assert_eq!(single.dd_nodes_peak, multi.dd_nodes_peak);
         assert!((single.dd_nodes_avg - multi.dd_nodes_avg).abs() < 1e-12);
@@ -1118,14 +877,14 @@ mod tests {
 
     #[test]
     fn observable_sums_are_bit_stable_for_a_fixed_thread_count() {
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(240).with_seed(3).with_threads(3);
+        let engine = dd_engine(&ghz(4), NoiseModel::paper_defaults(), 3);
+        let plan = RunPlan::new(240, 3, RunMode::Dedup);
         let observables = vec![
             Observable::BasisProbability(0),
             Observable::QubitExcitation(2),
         ];
-        let first = run_stochastic(&backend, &ghz(4), &config, &observables);
-        let second = run_stochastic(&backend, &ghz(4), &config, &observables);
+        let first = execute(&engine, &mut ExecContext::new(), &plan, &observables).unwrap();
+        let second = execute(&engine, &mut ExecContext::new(), &plan, &observables).unwrap();
         for (a, b) in first
             .observable_estimates
             .iter()
@@ -1137,11 +896,9 @@ mod tests {
 
     #[test]
     fn noiseless_ghz_splits_between_the_two_peaks() {
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(400)
-            .with_noise(NoiseModel::noiseless())
-            .with_threads(2);
-        let outcome = run_stochastic(&backend, &ghz(5), &config, &[]);
+        let engine = dd_engine(&ghz(5), NoiseModel::noiseless(), SEED);
+        let plan = RunPlan::new(400, 2, RunMode::Dedup);
+        let outcome = execute(&engine, &mut ExecContext::new(), &plan, &[]).unwrap();
         let all_ones = (1u64 << 5) - 1;
         let p0 = outcome.frequency(0);
         let p1 = outcome.frequency(all_ones);
@@ -1155,15 +912,13 @@ mod tests {
 
     #[test]
     fn observable_estimates_track_exact_values() {
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(300)
-            .with_noise(NoiseModel::noiseless())
-            .with_threads(3);
+        let engine = dd_engine(&ghz(4), NoiseModel::noiseless(), SEED);
+        let plan = RunPlan::new(300, 3, RunMode::Dedup);
         let observables = vec![
             Observable::BasisProbability(0),
             Observable::QubitExcitation(1),
         ];
-        let outcome = run_stochastic(&backend, &ghz(4), &config, &observables);
+        let outcome = execute(&engine, &mut ExecContext::new(), &plan, &observables).unwrap();
         assert_eq!(outcome.observable_estimates.len(), 2);
         assert!((outcome.observable_estimates[0] - 0.5).abs() < 1e-9);
         assert!((outcome.observable_estimates[1] - 0.5).abs() < 1e-9);
@@ -1172,9 +927,13 @@ mod tests {
     #[test]
     fn dense_and_dd_backends_agree_statistically() {
         let circuit = ghz(4);
-        let config = StochasticConfig::new(600).with_seed(21).with_threads(2);
-        let dd = run_stochastic(&DdSimulator::new(), &circuit, &config, &[]);
-        let dense = run_stochastic(&DenseSimulator::new(), &circuit, &config, &[]);
+        let plan = RunPlan::new(600, 2, RunMode::Dedup);
+        let run = |kind| {
+            let engine = engine(&circuit, kind, NoiseModel::paper_defaults(), 21);
+            execute(&engine, &mut ExecContext::new(), &plan, &[]).unwrap()
+        };
+        let dd = run(BackendKind::DecisionDiagram);
+        let dense = run(BackendKind::Statevector);
         let all_ones = (1u64 << 4) - 1;
         for outcome in [0, all_ones] {
             let diff = (dd.frequency(outcome) - dense.frequency(outcome)).abs();
@@ -1189,13 +948,10 @@ mod tests {
 
     #[test]
     fn stage_timings_cover_the_pipeline_on_every_runner() {
-        use crate::{BackendKind, ShotEngine};
-        use qsdd_transpile::OptLevel;
-
-        // Threaded runner: compile + execute are always timed.
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(64).with_threads(2).with_seed(5);
-        let outcome = run_stochastic(&backend, &ghz(4), &config, &[]);
+        // Several workers: compile + execute are always timed.
+        let engine = dd_engine(&ghz(4), NoiseModel::paper_defaults(), 5);
+        let plan = RunPlan::new(64, 2, RunMode::Dedup);
+        let outcome = execute(&engine, &mut ExecContext::new(), &plan, &[]).unwrap();
         assert!(outcome.stage_timings.get(Stage::Execute) > Duration::ZERO);
         assert!(outcome.stage_timings.total() >= outcome.stage_timings.get(Stage::Execute));
 
@@ -1216,7 +972,8 @@ mod tests {
         if in_ctx.dedup.is_some() {
             assert!(in_ctx.stage_timings.get(Stage::Presample) > Duration::ZERO);
         }
-        let reference = run_engine_dedup(&engine, 64, 1, &[]);
+        let plan = RunPlan::new(64, 1, RunMode::Dedup);
+        let reference = execute(&engine, &mut engine.new_context(), &plan, &[]).unwrap();
         assert_eq!(in_ctx.counts, reference.counts);
         assert_eq!(in_ctx.error_events, reference.error_events);
     }
@@ -1245,10 +1002,10 @@ mod tests {
 
     #[test]
     fn zero_shots_yield_an_empty_outcome() {
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(0).with_threads(4);
+        let engine = dd_engine(&ghz(3), NoiseModel::paper_defaults(), SEED);
         let observables = [Observable::QubitExcitation(0)];
-        let outcome = run_stochastic(&backend, &ghz(3), &config, &observables);
+        let plan = RunPlan::new(0, 4, RunMode::Dedup);
+        let outcome = execute(&engine, &mut ExecContext::new(), &plan, &observables).unwrap();
         assert_eq!(outcome.shots, 0);
         assert!(outcome.counts.is_empty());
         // Even with no workers spawned the resolved thread count is reported.
@@ -1261,43 +1018,32 @@ mod tests {
     }
 
     #[test]
-    fn run_engine_matches_run_stochastic_exactly() {
-        // Both runners share the per-shot rng derivation, so histograms and
-        // error counts must agree bit for bit, whatever the thread count.
-        let circuit = ghz(5);
-        let config = StochasticConfig::new(300)
-            .with_seed(13)
-            .with_threads(3)
-            .with_noise(NoiseModel::paper_defaults());
-        let generic = run_stochastic(&DdSimulator::new(), &circuit, &config, &[]);
-        let engine = ShotEngine::new(
-            &circuit,
-            crate::BackendKind::DecisionDiagram,
-            config.noise,
-            config.seed,
-            crate::OptLevel::O0,
-        );
-        for threads in [1, 2, 5] {
-            let via_engine = run_engine(&engine, 300, threads, &[]);
-            assert_eq!(via_engine.counts, generic.counts);
-            assert_eq!(via_engine.error_events, generic.error_events);
-            assert_eq!(via_engine.shots, 300);
-            assert_eq!(via_engine.dd_nodes_peak, generic.dd_nodes_peak);
+    fn zero_shot_exact_histogram_runs_still_enumerate() {
+        // The server accepts `shots: 0` weighted jobs in exact-histogram
+        // mode: the deliverable is the enumerated distribution, not shots.
+        let engine = dd_engine(&ghz(5), NoiseModel::paper_defaults(), SEED);
+        let options = WeightedOptions::default().with_exact_histogram(true);
+        for threads in [1, 2] {
+            let plan = RunPlan::new(0, threads, RunMode::Weighted(options.clone()));
+            let outcome = execute(&engine, &mut ExecContext::new(), &plan, &[]).unwrap();
+            let stats = outcome
+                .weighted
+                .expect("GHZ-5 supports weighted enumeration");
+            assert!(!stats.distribution.is_empty(), "threads={threads}");
+            let mass: f64 = stats.distribution.iter().map(|(_, p)| p).sum();
+            assert!((mass - 1.0).abs() < 1e-12, "threads={threads}: {mass}");
+            assert!(stats.covered_mass > 0.0);
+            assert!(stats.enumerated_trajectories > 0);
+            assert_eq!(stats.tail_shots, 0);
+            assert_eq!(outcome.threads, 1);
         }
     }
 
     #[test]
     fn run_engine_in_matches_the_single_threaded_runners_bit_for_bit() {
         // Paper noise mixes pattern groups with live (damping) shots, which
-        // exercises both arms of the serial dedup driver.
-        let circuit = ghz(6);
-        let engine = ShotEngine::new(
-            &circuit,
-            crate::BackendKind::DecisionDiagram,
-            NoiseModel::paper_defaults(),
-            17,
-            crate::OptLevel::O0,
-        );
+        // exercises both arms of the dedup driver.
+        let engine = dd_engine(&ghz(6), NoiseModel::paper_defaults(), 17);
         let observables = vec![
             Observable::BasisProbability(0),
             Observable::QubitExcitation(2),
@@ -1305,11 +1051,14 @@ mod tests {
         let mut ctx = engine.new_context();
         for dedup in [true, false] {
             let serial = run_engine_in(&engine, &mut ctx, 300, &observables, dedup);
-            let reference = if dedup {
-                run_engine_dedup(&engine, 300, 1, &observables)
+            let mode = if dedup {
+                RunMode::Dedup
             } else {
-                run_engine(&engine, 300, 1, &observables)
+                RunMode::PerShot
             };
+            let plan = RunPlan::new(300, 1, mode);
+            let reference =
+                execute(&engine, &mut engine.new_context(), &plan, &observables).unwrap();
             assert_eq!(serial.counts, reference.counts, "dedup={dedup}");
             assert_eq!(serial.error_events, reference.error_events);
             assert_eq!(serial.dd_nodes_peak, reference.dd_nodes_peak);
@@ -1333,18 +1082,9 @@ mod tests {
     fn run_engine_in_reuses_one_context_across_jobs() {
         // The same context serves jobs of both backend kinds back to back —
         // the server worker-pool pattern — without affecting results.
-        let mut ctx = crate::ExecContext::new();
-        for kind in [
-            crate::BackendKind::DecisionDiagram,
-            crate::BackendKind::Statevector,
-        ] {
-            let engine = ShotEngine::new(
-                &ghz(4),
-                kind,
-                NoiseModel::paper_defaults(),
-                3,
-                crate::OptLevel::O0,
-            );
+        let mut ctx = ExecContext::new();
+        for kind in [BackendKind::DecisionDiagram, BackendKind::Statevector] {
+            let engine = engine(&ghz(4), kind, NoiseModel::paper_defaults(), 3);
             let warm = run_engine_in(&engine, &mut ctx, 120, &[], true);
             let fresh = run_engine_in(&engine, &mut engine.new_context(), 120, &[], true);
             assert_eq!(warm.counts, fresh.counts);
@@ -1354,13 +1094,7 @@ mod tests {
 
     #[test]
     fn run_engine_in_handles_zero_shots() {
-        let engine = ShotEngine::new(
-            &ghz(3),
-            crate::BackendKind::DecisionDiagram,
-            NoiseModel::noiseless(),
-            1,
-            crate::OptLevel::O0,
-        );
+        let engine = dd_engine(&ghz(3), NoiseModel::noiseless(), 1);
         let outcome = run_engine_in(&engine, &mut engine.new_context(), 0, &[], true);
         assert_eq!(outcome.shots, 0);
         assert!(outcome.counts.is_empty());
@@ -1369,11 +1103,9 @@ mod tests {
 
     #[test]
     fn noise_produces_error_events() {
-        let backend = DdSimulator::new();
-        let config = StochasticConfig::new(200)
-            .with_noise(NoiseModel::new(0.05, 0.05, 0.05))
-            .with_threads(2);
-        let outcome = run_stochastic(&backend, &ghz(8), &config, &[]);
+        let engine = dd_engine(&ghz(8), NoiseModel::new(0.05, 0.05, 0.05), SEED);
+        let plan = RunPlan::new(200, 2, RunMode::Dedup);
+        let outcome = execute(&engine, &mut ExecContext::new(), &plan, &[]).unwrap();
         assert!(outcome.error_events > 0);
         assert!(outcome.error_rate() > 0.0);
     }

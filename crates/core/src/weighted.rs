@@ -1,6 +1,6 @@
 //! Weighted trajectory enumeration: exact mixtures instead of samples.
 //!
-//! The Monte-Carlo drivers ([`crate::stochastic`], [`crate::dedup`]) *sample*
+//! The per-shot and dedup modes of [`execute`](crate::execute) *sample*
 //! error trajectories: every shot draws a pattern and the histogram converges
 //! at the usual `1/sqrt(shots)` rate. Under realistic noise strengths that is
 //! wasteful — a handful of patterns (no error, one error, …) carries almost
@@ -36,8 +36,9 @@
 //!
 //! # Determinism
 //!
-//! The whole driver is serial, so results are bit-identical across repeat
-//! runs and independent of any requested thread count. Tail shot `k`
+//! A weighted run is serial on the caller's context, so results are
+//! bit-identical across repeat runs and independent of any requested thread
+//! count. Tail shot `k`
 //! derives its generator from the engine seed XOR a fixed salt — disjoint
 //! from the ordinary shot streams, and stable under re-runs.
 
@@ -52,10 +53,7 @@ use crate::deadline::{Deadline, TimedOut};
 use crate::estimator::Observable;
 use crate::fxhash::FxHashMap;
 use crate::shot_engine::{ExecContext, ShotEngine};
-use crate::stochastic::{
-    publish_job_metrics, run_engine_dedup_deadline, run_engine_in_deadline, shot_rng,
-    trace_dd_attrs, trace_dd_stats, StochasticOutcome,
-};
+use crate::stochastic::{shot_rng, trace_dd_attrs, trace_dd_stats, StochasticOutcome};
 
 /// Largest circuit (in qubits) the weighted driver accepts: beyond this the
 /// exact histogram can outgrow memory, so the engine falls back to sampling.
@@ -139,97 +137,30 @@ pub struct WeightedStats {
     pub distribution: Vec<(u64, f64)>,
 }
 
-/// Runs the weighted-enumeration driver on a prepared [`ShotEngine`].
+/// The weighted-enumeration run of [`execute`](crate::execute) in
+/// [`RunMode::Weighted`](crate::RunMode::Weighted), on the caller's context.
 ///
 /// Enumerates error patterns in descending probability order (bounded by
 /// `options`), simulates each once for its exact outcome distribution, and
 /// covers the un-enumerated mass with `~residual^2 * shots` rejection-sampled
 /// tail shots (see the module docs for the estimator and its sizing).
 /// `shots` also sizes the integer histogram synthesised from the final
-/// distribution.
-///
-/// Falls back to [`run_engine_dedup`] — same inputs, sampled estimator —
-/// when the engine does not support weighted enumeration (mid-circuit
-/// measurement/reset, more than [`MAX_WEIGHTED_QUBITS`] qubits, or an
-/// unsupported channel kind); `threads` is only used by that fallback, the
-/// weighted path itself is serial and bit-deterministic.
-pub fn run_engine_weighted(
-    engine: &ShotEngine,
-    shots: usize,
-    threads: usize,
-    observables: &[Observable],
-    options: &WeightedOptions,
-) -> StochasticOutcome {
-    run_engine_weighted_deadline(
-        engine,
-        shots,
-        threads,
-        observables,
-        options,
-        &Deadline::unbounded(),
-    )
-    .expect("an unbounded deadline never expires")
-}
-
-/// [`run_engine_weighted`] under a cooperative [`Deadline`], checked per
-/// enumerated pattern and per tail candidate; on expiry the run returns
-/// [`TimedOut`] with no partial results.
-pub fn run_engine_weighted_deadline(
-    engine: &ShotEngine,
-    shots: usize,
-    threads: usize,
-    observables: &[Observable],
-    options: &WeightedOptions,
-    deadline: &Deadline,
-) -> Result<StochasticOutcome, TimedOut> {
-    if engine.weighted_plan().is_none() {
-        return run_engine_dedup_deadline(engine, shots, threads, observables, deadline);
-    }
-    let mut ctx = engine.new_context();
-    // The weighted driver is serial (one worker), so the engine's requested
-    // intra-shot width is honoured as-is.
-    ctx.set_intra_threads(engine.intra_threads());
-    run_engine_weighted_in_deadline(engine, &mut ctx, shots, observables, options, deadline)
-}
-
-/// The in-context twin of [`run_engine_weighted`], for callers that own a
-/// long-lived [`ExecContext`] (the server worker pool). Serial, on the
-/// calling thread; results are bit-identical to [`run_engine_weighted`].
-pub fn run_engine_weighted_in(
+/// distribution. The deadline is checked per enumerated pattern and per tail
+/// candidate. `mapped` holds the observables already passed through
+/// [`ShotEngine::map_observables`]; the engine must support weighted
+/// enumeration.
+pub(crate) fn run_weighted(
     engine: &ShotEngine,
     ctx: &mut ExecContext,
     shots: usize,
-    observables: &[Observable],
-    options: &WeightedOptions,
-) -> StochasticOutcome {
-    run_engine_weighted_in_deadline(
-        engine,
-        ctx,
-        shots,
-        observables,
-        options,
-        &Deadline::unbounded(),
-    )
-    .expect("an unbounded deadline never expires")
-}
-
-/// [`run_engine_weighted_in`] under a cooperative [`Deadline`] (see
-/// [`run_engine_weighted_deadline`] for the check sites).
-pub fn run_engine_weighted_in_deadline(
-    engine: &ShotEngine,
-    ctx: &mut ExecContext,
-    shots: usize,
-    observables: &[Observable],
+    mapped: &[Observable],
     options: &WeightedOptions,
     deadline: &Deadline,
 ) -> Result<StochasticOutcome, TimedOut> {
-    let started = Instant::now();
     let bounded = !deadline.is_unbounded();
-    let Some(plan) = engine.weighted_plan() else {
-        return run_engine_in_deadline(engine, ctx, shots, observables, true, deadline);
-    };
-    let dd_before = ctx.dd_table_stats();
-    let mapped = engine.map_observables(observables);
+    let plan = engine
+        .weighted_plan()
+        .expect("weighted mode is only resolved for engines that support it");
 
     // Enumeration books under the presample stage: it is the weighted
     // counterpart of resolving shots' error decisions up front.
@@ -266,7 +197,7 @@ pub fn run_engine_weighted_in_deadline(
             *distribution.entry(outcome).or_insert(0.0) += probability * p;
         };
         let (sample, values) =
-            engine.run_weighted_pattern_in(ctx, &weighted.pattern, &mapped, &mut sink);
+            engine.run_weighted_pattern_in(ctx, &weighted.pattern, mapped, &mut sink);
         for (sum, value) in observable_sums.iter_mut().zip(&values) {
             *sum += probability * value;
         }
@@ -325,7 +256,7 @@ pub fn run_engine_weighted_in_deadline(
                     // member samples its outcome like any live shot would.
                     let mut members = vec![(accepted, rng)];
                     for (_, sample, values) in
-                        engine.run_group_in(ctx, &pattern, &mut members, &mapped)
+                        engine.run_group_in(ctx, &pattern, &mut members, mapped)
                     {
                         *tail_counts.entry(sample.outcome).or_insert(0) += 1;
                         for (sum, value) in tail_sums.iter_mut().zip(&values) {
@@ -341,7 +272,7 @@ pub fn run_engine_weighted_in_deadline(
                     // live from the top with a fresh generator (the stream
                     // prefix matches what the presampler consumed).
                     let mut rng = shot_rng(salted, k);
-                    let (sample, values) = engine.run_with_rng_in(ctx, &mut rng, &mapped);
+                    let (sample, values) = engine.run_with_rng_in(ctx, &mut rng, mapped);
                     *tail_counts.entry(sample.outcome).or_insert(0) += 1;
                     for (sum, value) in tail_sums.iter_mut().zip(&values) {
                         *sum += value;
@@ -412,7 +343,7 @@ pub fn run_engine_weighted_in_deadline(
             0.0
         },
         dd_nodes_peak: nodes_peak,
-        wall_time: started.elapsed(),
+        wall_time: std::time::Duration::ZERO,
         threads: 1,
         dedup: None,
         weighted: Some(WeightedStats {
@@ -430,13 +361,6 @@ pub fn run_engine_weighted_in_deadline(
     outcome
         .stage_timings
         .record(Stage::Aggregate, aggregate_started.elapsed());
-    outcome.stage_timings.merge(&engine.stage_timings());
-    if ctx.intra_pool().is_some() {
-        outcome
-            .stage_timings
-            .record(Stage::IntraExecute, execute_time);
-    }
-    publish_job_metrics(&outcome, ctx.dd_table_stats().since(&dd_before), ctx);
     Ok(outcome)
 }
 
@@ -478,6 +402,7 @@ fn synthesize_counts(distribution: &[(u64, f64)], shots: usize) -> HashMap<u64, 
 mod tests {
     use super::*;
     use crate::simulator::BackendKind;
+    use crate::stochastic::{execute, RunMode, RunPlan};
     use qsdd_circuit::generators::ghz;
     use qsdd_noise::NoiseModel;
     use qsdd_transpile::OptLevel;
@@ -498,7 +423,8 @@ mod tests {
         let options = WeightedOptions::default()
             .with_mass_cutoff(1.0)
             .with_max_patterns(u64::MAX);
-        let outcome = run_engine_weighted(&engine, 1000, 1, &[], &options);
+        let plan = RunPlan::new(1000, 1, RunMode::Weighted(options));
+        let outcome = execute(&engine, &mut ExecContext::new(), &plan, &[]).unwrap();
         let stats = outcome.weighted.expect("weighted path must engage");
         assert!((stats.covered_mass - 1.0).abs() < 1e-9);
         assert_eq!(stats.tail_shots, 0);
@@ -512,8 +438,20 @@ mod tests {
     fn weighted_runs_are_bit_identical_across_repeats() {
         let engine = engine(5, NoiseModel::paper_defaults());
         let options = WeightedOptions::default();
-        let first = run_engine_weighted(&engine, 500, 1, &[], &options);
-        let second = run_engine_weighted(&engine, 500, 8, &[], &options);
+        let first = execute(
+            &engine,
+            &mut ExecContext::new(),
+            &RunPlan::new(500, 1, RunMode::Weighted(options.clone())),
+            &[],
+        )
+        .unwrap();
+        let second = execute(
+            &engine,
+            &mut ExecContext::new(),
+            &RunPlan::new(500, 8, RunMode::Weighted(options)),
+            &[],
+        )
+        .unwrap();
         assert_eq!(first.counts, second.counts);
         let (a, b) = (first.weighted.unwrap(), second.weighted.unwrap());
         assert_eq!(a.distribution.len(), b.distribution.len());
@@ -539,7 +477,8 @@ mod tests {
             OptLevel::O0,
         );
         assert!(!engine.supports_weighted());
-        let outcome = run_engine_weighted(&engine, 200, 1, &[], &WeightedOptions::default());
+        let plan = RunPlan::new(200, 1, RunMode::Weighted(WeightedOptions::default()));
+        let outcome = execute(&engine, &mut ExecContext::new(), &plan, &[]).unwrap();
         assert!(outcome.weighted.is_none());
         assert_eq!(outcome.counts.values().sum::<u64>(), 200);
     }

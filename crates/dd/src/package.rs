@@ -87,6 +87,23 @@ impl TableStats {
     }
 }
 
+impl std::ops::Add for TableStats {
+    type Output = TableStats;
+
+    /// Counter-wise sum, for totals over several packages.
+    fn add(self, other: TableStats) -> TableStats {
+        TableStats {
+            vec_unique_hits: self.vec_unique_hits + other.vec_unique_hits,
+            vec_unique_misses: self.vec_unique_misses + other.vec_unique_misses,
+            mat_unique_hits: self.mat_unique_hits + other.mat_unique_hits,
+            mat_unique_misses: self.mat_unique_misses + other.mat_unique_misses,
+            compute_hits: self.compute_hits + other.compute_hits,
+            compute_misses: self.compute_misses + other.compute_misses,
+            stripe_contention: self.stripe_contention + other.stripe_contention,
+        }
+    }
+}
+
 /// Interior-mutable backing store for the hit/miss counters of
 /// [`TableStats`], so the hot lookup paths can count through `&self` while
 /// several fork-join workers traverse one package.

@@ -12,10 +12,10 @@
 //!    execution queue** — or rejected with `429` when the queue is full.
 //! 3. **Worker** threads pop cells off the queue. Each worker owns one
 //!    long-lived [`ExecContext`] for its entire lifetime and executes every
-//!    job through [`run_engine_in`], so decision-diagram arenas, amplitude
-//!    buffers and operator caches are rewound — never rebuilt — across
-//!    requests (the PR-3 reuse path), and the PR-4 trajectory-dedup driver
-//!    runs whenever the job allows it.
+//!    job through [`execute`] on one worker (its own context, no extra
+//!    threads), so decision-diagram arenas, amplitude buffers and operator
+//!    caches are rewound — never rebuilt — across requests, and trajectory
+//!    deduplication runs whenever the job allows it.
 //! 4. Completion publishes the deterministic result payload to the cell
 //!    (waking every coalesced submission at once) and registers it with the
 //!    cache's LRU for eviction accounting.
@@ -34,7 +34,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qsdd_core::{run_engine_in_deadline, Deadline, ExecContext, ShotEngine, TimedOut};
+use qsdd_core::{execute, Deadline, ExecContext, RunMode, RunPlan, ShotEngine, TimedOut};
 use qsdd_json::Value;
 use qsdd_telemetry::trace::{self, AttrValue, TraceStore, Tracer};
 use qsdd_telemetry::{log_kv, Level, SpanTimer, Stage, StageTimings};
@@ -869,12 +869,18 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
         input.intra_threads,
         state.workers,
     ));
-    // The job's deadline (when it set one). Cancellation is cooperative —
-    // the drivers check at chunk and trajectory boundaries — so the context
-    // stays reusable after a timeout, unlike after a panic.
-    let deadline = match input.timeout_ms {
-        Some(ms) => Deadline::from_millis(ms),
-        None => Deadline::unbounded(),
+    // One worker — this one, on its own context — and the job's deadline
+    // (when it set one). Cancellation is cooperative — the driver checks
+    // between shots and trajectory groups — so the context stays reusable
+    // after a timeout, unlike after a panic.
+    let plan = RunPlan {
+        shots: input.shots,
+        threads: 1,
+        mode: RunMode::requested(input.weighted.as_ref(), input.dedup),
+        deadline: match input.timeout_ms {
+            Some(ms) => Deadline::from_millis(ms),
+            None => Deadline::unbounded(),
+        },
     };
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<(String, StageTimings), TimedOut> {
@@ -893,24 +899,7 @@ fn execute_job(state: &Arc<ServerState>, cell: &Arc<ExecutionCell>, ctx: &mut Ex
                     input.opt,
                 )
             };
-            let outcome = match &input.weighted {
-                Some(options) => qsdd_core::run_engine_weighted_in_deadline(
-                    &engine,
-                    ctx,
-                    input.shots,
-                    &input.observables,
-                    options,
-                    &deadline,
-                )?,
-                None => run_engine_in_deadline(
-                    &engine,
-                    ctx,
-                    input.shots,
-                    &input.observables,
-                    input.dedup,
-                    &deadline,
-                )?,
-            };
+            let outcome = execute(&engine, ctx, &plan, &input.observables)?;
             // The payload is timing-free by contract (byte-identical cache
             // serving); the breakdown rides alongside into the job envelope.
             Ok((api::result_payload(input, &outcome), outcome.stage_timings))

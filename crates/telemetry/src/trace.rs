@@ -806,6 +806,12 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_and_roughly_proportional() {
+        // The sample rate is global too: hold the same lock, so a
+        // concurrent test resetting it to 1 cannot land mid-run.
+        with_tracing(sampling_checks);
+    }
+
+    fn sampling_checks() {
         let decisions: Vec<bool> = {
             set_trace_sample_rate(4);
             let out = (0..256)

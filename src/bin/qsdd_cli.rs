@@ -278,11 +278,6 @@ fn run_batch_command(options: BatchCliOptions) -> ExitCode {
         }
     };
     eprintln!("batch: {} job(s) from `{}`", jobs.len(), options.jobfile);
-    if options.profile {
-        // Profiling opts into process-wide telemetry: the batch pool's
-        // chunk/queue/worker series publish to the global registry.
-        qsdd::telemetry::set_enabled(true);
-    }
     let mut batch_options =
         BatchOptions::with_threads(options.threads).with_intra_threads(options.intra_threads);
     if !options.dedup {
@@ -615,11 +610,6 @@ fn parse_probability(text: &str) -> Result<f64, String> {
 }
 
 fn run(options: Options) -> ExitCode {
-    if options.profile {
-        // Profiling opts into process-wide telemetry (stage histograms,
-        // DD table counters); the per-job table works either way.
-        qsdd::telemetry::set_enabled(true);
-    }
     // Everything up to the result is diagnostics and goes to stderr, so
     // `qsdd_cli run c.qasm --format json > out.json` captures only the
     // result document.

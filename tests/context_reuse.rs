@@ -9,7 +9,9 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use qsdd::circuit::Circuit;
-use qsdd::core::{run_engine, BackendKind, Observable, OptLevel, ShotEngine};
+use qsdd::core::{
+    execute, BackendKind, ExecContext, Observable, OptLevel, RunMode, RunPlan, ShotEngine,
+};
 use qsdd::noise::NoiseModel;
 
 const SHOTS: usize = 48;
@@ -171,7 +173,7 @@ proptest! {
         ];
         let mut histograms = Vec::new();
         for threads in [1usize, 2, 8] {
-            let outcome = run_engine(&engine, SHOTS, threads, &observables);
+            let outcome = execute(&engine, &mut ExecContext::new(), &RunPlan::new(SHOTS, threads, RunMode::PerShot), &observables).unwrap();
             let (fresh_counts, fresh_means, fresh_errors) =
                 fresh_reference(&engine, SHOTS, threads, &observables);
             prop_assert_eq!(&outcome.counts, &fresh_counts, "histogram diverged");

@@ -15,7 +15,8 @@
 use proptest::prelude::*;
 use qsdd::circuit::Circuit;
 use qsdd::core::{
-    run_engine, run_engine_dedup, BackendKind, Observable, OptLevel, ShotEngine, StochasticOutcome,
+    execute, BackendKind, ExecContext, Observable, OptLevel, RunMode, RunPlan, ShotEngine,
+    StochasticOutcome,
 };
 use qsdd::noise::NoiseModel;
 
@@ -104,8 +105,20 @@ fn assert_identical(dedup: &StochasticOutcome, reference: &StochasticOutcome) {
 
 fn compare_engine(engine: &ShotEngine, observables: &[Observable]) {
     for threads in [1usize, 2, 8] {
-        let reference = run_engine(engine, SHOTS, threads, observables);
-        let dedup = run_engine_dedup(engine, SHOTS, threads, observables);
+        let reference = execute(
+            engine,
+            &mut ExecContext::new(),
+            &RunPlan::new(SHOTS, threads, RunMode::PerShot),
+            observables,
+        )
+        .unwrap();
+        let dedup = execute(
+            engine,
+            &mut ExecContext::new(),
+            &RunPlan::new(SHOTS, threads, RunMode::Dedup),
+            observables,
+        )
+        .unwrap();
         assert_identical(&dedup, &reference);
         if let Some(stats) = &dedup.dedup {
             assert!(stats.unique_trajectories <= SHOTS as u64);
@@ -210,7 +223,13 @@ fn dedup_groups_dominate_at_realistic_noise() {
         2021,
         OptLevel::O0,
     );
-    let outcome = run_engine_dedup(&engine, 10_000, 0, &[]);
+    let outcome = execute(
+        &engine,
+        &mut ExecContext::new(),
+        &RunPlan::new(10_000, 0, RunMode::Dedup),
+        &[],
+    )
+    .unwrap();
     let stats = outcome.dedup.expect("dedup must engage on this workload");
     assert_eq!(stats.live_shots, 0, "passive noise never goes live");
     assert!(
@@ -220,7 +239,13 @@ fn dedup_groups_dominate_at_realistic_noise() {
     );
     assert!(outcome.dedup_hit_rate() > 0.9);
     // And the shared trajectories reproduce the per-shot histogram exactly.
-    let reference = run_engine(&engine, 10_000, 0, &[]);
+    let reference = execute(
+        &engine,
+        &mut ExecContext::new(),
+        &RunPlan::new(10_000, 0, RunMode::PerShot),
+        &[],
+    )
+    .unwrap();
     assert_eq!(outcome.counts, reference.counts);
     assert_eq!(outcome.error_events, reference.error_events);
 }
@@ -240,8 +265,20 @@ fn transpiled_engines_dedup_through_the_output_layout() {
         OptLevel::O2,
     );
     for threads in [1usize, 3] {
-        let reference = run_engine(&engine, 400, threads, &[]);
-        let dedup = run_engine_dedup(&engine, 400, threads, &[]);
+        let reference = execute(
+            &engine,
+            &mut ExecContext::new(),
+            &RunPlan::new(400, threads, RunMode::PerShot),
+            &[],
+        )
+        .unwrap();
+        let dedup = execute(
+            &engine,
+            &mut ExecContext::new(),
+            &RunPlan::new(400, threads, RunMode::Dedup),
+            &[],
+        )
+        .unwrap();
         assert_eq!(dedup.counts, reference.counts);
         assert_eq!(dedup.error_events, reference.error_events);
     }

@@ -16,8 +16,8 @@
 use proptest::prelude::*;
 use qsdd::circuit::Circuit;
 use qsdd::core::{
-    run_engine, run_engine_dedup, run_engine_weighted, BackendKind, Observable, OptLevel,
-    ShotEngine, StochasticOutcome, WeightedOptions,
+    execute, BackendKind, ExecContext, Observable, OptLevel, RunMode, RunPlan, ShotEngine,
+    StochasticOutcome, WeightedOptions,
 };
 use qsdd::noise::NoiseModel;
 
@@ -119,17 +119,53 @@ fn compare_widths(circuit: &Circuit, backend: BackendKind, noise: NoiseModel, se
     let weighted_options = WeightedOptions::default();
     let mut engine = ShotEngine::new(circuit, backend, noise, seed, OptLevel::O0);
 
-    let per_shot_ref = run_engine(&engine, SHOTS, 1, &observables);
-    let dedup_ref = run_engine_dedup(&engine, SHOTS, 1, &observables);
-    let weighted_ref = run_engine_weighted(&engine, SHOTS, 1, &observables, &weighted_options);
+    let per_shot_ref = execute(
+        &engine,
+        &mut ExecContext::new(),
+        &RunPlan::new(SHOTS, 1, RunMode::PerShot),
+        &observables,
+    )
+    .unwrap();
+    let dedup_ref = execute(
+        &engine,
+        &mut ExecContext::new(),
+        &RunPlan::new(SHOTS, 1, RunMode::Dedup),
+        &observables,
+    )
+    .unwrap();
+    let weighted_ref = execute(
+        &engine,
+        &mut ExecContext::new(),
+        &RunPlan::new(SHOTS, 1, RunMode::Weighted(weighted_options.clone())),
+        &observables,
+    )
+    .unwrap();
 
     for intra in [2usize, 8] {
         engine.set_intra_threads(intra);
-        let per_shot = run_engine(&engine, SHOTS, 1, &observables);
+        let per_shot = execute(
+            &engine,
+            &mut ExecContext::new(),
+            &RunPlan::new(SHOTS, 1, RunMode::PerShot),
+            &observables,
+        )
+        .unwrap();
         assert_identical(&per_shot, &per_shot_ref, &format!("per-shot@{intra}"));
-        let dedup = run_engine_dedup(&engine, SHOTS, 1, &observables);
+        let dedup = execute(
+            &engine,
+            &mut ExecContext::new(),
+            &RunPlan::new(SHOTS, 1, RunMode::Dedup),
+            &observables,
+        )
+        .unwrap();
         assert_identical(&dedup, &dedup_ref, &format!("dedup@{intra}"));
-        let weighted = run_engine_weighted(&engine, SHOTS, 1, &observables, &weighted_options);
+        let weighted = execute(
+            &engine,
+            &mut ExecContext::new(),
+            &RunPlan::new(SHOTS, 1, RunMode::Weighted(weighted_options.clone())),
+            &observables,
+        )
+        .unwrap();
         assert_identical(&weighted, &weighted_ref, &format!("weighted@{intra}"));
     }
 }

@@ -12,7 +12,9 @@ use std::time::{Duration, Instant};
 
 use qsdd::batch::{JobReport, JobStatus};
 use qsdd::circuit::generators::ghz;
-use qsdd::core::{run_engine_dedup, BackendKind, OptLevel, ShotEngine, StochasticSimulator};
+use qsdd::core::{
+    execute, BackendKind, ExecContext, OptLevel, RunMode, RunPlan, ShotEngine, StochasticSimulator,
+};
 use qsdd::json::{self, Value};
 use qsdd::noise::NoiseModel;
 use qsdd::server::{client, Server, ServerConfig};
@@ -236,15 +238,16 @@ fn observable_sums_match_the_serial_runner_bit_for_bit() {
         21,
         OptLevel::O0,
     );
-    let reference = run_engine_dedup(
+    let reference = execute(
         &engine,
-        300,
-        1,
+        &mut ExecContext::new(),
+        &RunPlan::new(300, 1, RunMode::Dedup),
         &[
             qsdd::core::Observable::BasisProbability(0),
             qsdd::core::Observable::QubitExcitation(2),
         ],
-    );
+    )
+    .unwrap();
     assert_eq!(estimates.len(), 2);
     for (http, direct) in estimates.iter().zip(&reference.observable_estimates) {
         assert_eq!(http.to_bits(), direct.to_bits(), "sums drifted over HTTP");

@@ -17,8 +17,8 @@
 use proptest::prelude::*;
 use qsdd::circuit::Circuit;
 use qsdd::core::{
-    run_engine, run_engine_dedup, run_engine_weighted, BackendKind, Observable, OptLevel,
-    ShotEngine, StochasticOutcome, WeightedOptions,
+    execute, BackendKind, ExecContext, Observable, OptLevel, RunMode, RunPlan, ShotEngine,
+    StochasticOutcome, WeightedOptions,
 };
 use qsdd::density;
 use qsdd::noise::NoiseModel;
@@ -118,7 +118,13 @@ fn check_full_coverage(circuit: &Circuit, noise: NoiseModel, seed: u64, backend:
     let options = WeightedOptions::default()
         .with_mass_cutoff(1.0)
         .with_max_patterns(1 << 20);
-    let outcome = run_engine_weighted(&engine, 512, 1, &[], &options);
+    let outcome = execute(
+        &engine,
+        &mut ExecContext::new(),
+        &RunPlan::new(512, 1, RunMode::Weighted(options.clone())),
+        &[],
+    )
+    .unwrap();
     let stats = outcome.weighted.as_ref().expect("weighted stats");
     assert!(
         stats.covered_mass > 1.0 - 1e-9,
@@ -142,9 +148,21 @@ fn check_full_coverage(circuit: &Circuit, noise: NoiseModel, seed: u64, backend:
     // Determinism: repeats and thread counts reproduce the result bit for
     // bit (the driver is serial; `threads` only affects the fallback).
     let observables = [Observable::BasisProbability(0)];
-    let reference = run_engine_weighted(&engine, 512, 1, &observables, &options);
+    let reference = execute(
+        &engine,
+        &mut ExecContext::new(),
+        &RunPlan::new(512, 1, RunMode::Weighted(options.clone())),
+        &observables,
+    )
+    .unwrap();
     for threads in [1usize, 2, 8] {
-        let again = run_engine_weighted(&engine, 512, threads, &observables, &options);
+        let again = execute(
+            &engine,
+            &mut ExecContext::new(),
+            &RunPlan::new(512, threads, RunMode::Weighted(options.clone())),
+            &observables,
+        )
+        .unwrap();
         assert_bit_identical(&again, &reference);
     }
 }
@@ -199,11 +217,11 @@ proptest! {
             OptLevel::O0,
         );
         let shots = 1500;
-        let reference = run_engine(&engine, shots, 0, &[]);
+        let reference = execute(&engine, &mut ExecContext::new(), &RunPlan::new(shots, 0, RunMode::PerShot), &[]).unwrap();
         let options = WeightedOptions::default();
-        let baseline = run_engine_weighted(&engine, shots, 1, &[], &options);
+        let baseline = execute(&engine, &mut ExecContext::new(), &RunPlan::new(shots, 1, RunMode::Weighted(options.clone())), &[]).unwrap();
         for threads in [2usize, 8] {
-            let again = run_engine_weighted(&engine, shots, threads, &[], &options);
+            let again = execute(&engine, &mut ExecContext::new(), &RunPlan::new(shots, threads, RunMode::Weighted(options.clone())), &[]).unwrap();
             assert_bit_identical(&again, &baseline);
         }
         let stats = baseline.weighted.as_ref().expect("weighted stats");
@@ -239,14 +257,20 @@ fn measured_circuits_fall_back_to_the_dedup_sampler() {
     assert!(!engine.supports_weighted());
     let observables = [Observable::QubitExcitation(2)];
     for threads in [1usize, 2, 8] {
-        let weighted = run_engine_weighted(
+        let weighted = execute(
             &engine,
-            300,
-            threads,
+            &mut ExecContext::new(),
+            &RunPlan::new(300, threads, RunMode::Weighted(WeightedOptions::default())),
             &observables,
-            &WeightedOptions::default(),
-        );
-        let dedup = run_engine_dedup(&engine, 300, threads, &observables);
+        )
+        .unwrap();
+        let dedup = execute(
+            &engine,
+            &mut ExecContext::new(),
+            &RunPlan::new(300, threads, RunMode::Dedup),
+            &observables,
+        )
+        .unwrap();
         assert!(weighted.weighted.is_none(), "fallback carries no stats");
         assert_eq!(weighted.counts, dedup.counts);
         assert_eq!(weighted.error_events, dedup.error_events);
@@ -274,14 +298,24 @@ fn exact_histogram_mode_skips_the_tail_and_renormalises() {
         7,
         OptLevel::O0,
     );
-    let sampled = run_engine_weighted(&engine, 2000, 1, &[], &WeightedOptions::default());
-    let exact = run_engine_weighted(
+    let sampled = execute(
         &engine,
-        2000,
-        1,
+        &mut ExecContext::new(),
+        &RunPlan::new(2000, 1, RunMode::Weighted(WeightedOptions::default())),
         &[],
-        &WeightedOptions::default().with_exact_histogram(true),
-    );
+    )
+    .unwrap();
+    let exact = execute(
+        &engine,
+        &mut ExecContext::new(),
+        &RunPlan::new(
+            2000,
+            1,
+            RunMode::Weighted(WeightedOptions::default().with_exact_histogram(true)),
+        ),
+        &[],
+    )
+    .unwrap();
     let sampled_stats = sampled.weighted.as_ref().unwrap();
     let exact_stats = exact.weighted.as_ref().unwrap();
     assert!(sampled_stats.tail_shots > 0, "partial coverage runs a tail");
@@ -321,7 +355,13 @@ fn weighted_matches_density_on_the_ghz_workload_with_depolarizing_noise() {
     let options = WeightedOptions::default()
         .with_mass_cutoff(1.0)
         .with_max_patterns(1 << 22);
-    let outcome = run_engine_weighted(&engine, 1000, 1, &[], &options);
+    let outcome = execute(
+        &engine,
+        &mut ExecContext::new(),
+        &RunPlan::new(1000, 1, RunMode::Weighted(options.clone())),
+        &[],
+    )
+    .unwrap();
     let stats = outcome.weighted.as_ref().unwrap();
     assert!(stats.covered_mass > 1.0 - 1e-9);
     let exact = density::outcome_distribution(&circuit, &noise);
