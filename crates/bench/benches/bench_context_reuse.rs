@@ -87,15 +87,16 @@ fn legacy_fresh_shot(circuit: &Circuit, noise: &NoiseModel, rng: &mut StdRng) ->
                         state = dd.mat_vec_mul(err, state);
                     }
                     StochasticAction::Kraus(branches) => {
-                        let decay = dd.single_qubit_op(n, qubit, branches[0]);
-                        let (p_decay, decayed) = dd.apply_kraus(decay, state);
-                        if rng.gen::<f64>() < p_decay {
-                            state = decayed;
+                        // Same one-branch rule as the compiled path, so
+                        // the comparison measures context reuse alone.
+                        let p_decay = dd.decay_probability(state, qubit, channel.probability());
+                        let branch = if rng.gen::<f64>() < p_decay {
+                            branches[0]
                         } else {
-                            let keep = dd.single_qubit_op(n, qubit, branches[1]);
-                            let (_, kept) = dd.apply_kraus(keep, state);
-                            state = kept;
-                        }
+                            branches[1]
+                        };
+                        let kraus = dd.single_qubit_op(n, qubit, branch);
+                        state = dd.apply_kraus(kraus, state).1;
                     }
                 }
             }

@@ -115,9 +115,9 @@ struct StepFF {
 /// Maximum number of vector nodes the template package may hold while the
 /// no-error trajectory is being recorded; past this budget the remaining
 /// steps are left to live execution. Bounds the persistent memory a
-/// program (and thus every worker context seated on it) can pin — the
-/// recorded region includes the damping-probe states evaluated for the
-/// branch thresholds, so the budget caps those too.
+/// program (and thus every worker context seated on it) can pin: the
+/// recorded region holds every step's state and every renormalised
+/// damping keep state along the trajectory.
 const TRAJECTORY_NODE_BUDGET: usize = 1 << 19;
 
 /// A compiled circuit + noise model pair for the decision-diagram back-end.
@@ -435,8 +435,11 @@ impl StochasticBackend for DdSimulator {
                 for (channel, ops) in noise_ops.iter().enumerate() {
                     let before = state;
                     match ops.kraus[qubit] {
-                        Some([decay, keep]) => {
-                            let (p_decay, _decayed) = base.apply_kraus(decay, state);
+                        Some([_decay, keep]) => {
+                            // The decay state is built only if a shot
+                            // deviates here (see `fast_forward_step`).
+                            let gamma = channels[channel].probability();
+                            let p_decay = base.decay_probability(state, qubit, gamma);
                             let (_, kept) = base.apply_kraus(keep, state);
                             state = kept;
                             exposures.push(ExposureFF {
@@ -1013,19 +1016,21 @@ fn apply_noise_live(
                     state = dd.mat_vec_mul(err, state);
                 }
                 SampledError::Kraus => {
-                    // Amplitude damping: branch probabilities are the
-                    // squared norms of the (non-unitary) branch states
-                    // (Example 6 of the paper).
+                    // Amplitude damping: the branch probabilities are the
+                    // squared norms of the branch states (Example 6 of the
+                    // paper); the decay branch's is gamma times the
+                    // qubit's |1> weight, so only the branch that fires is
+                    // built.
                     let [decay, keep] = program.noise_ops[index].kraus[qubit]
                         .expect("Kraus events only come from Kraus channels");
-                    let (p_decay, decayed) = dd.apply_kraus(decay, state);
-                    if rng.gen::<f64>() < p_decay {
+                    let p_decay = dd.decay_probability(state, qubit, channel.probability());
+                    let branch = if rng.gen::<f64>() < p_decay {
                         *error_events += 1;
-                        state = decayed;
+                        decay
                     } else {
-                        let (_, kept) = dd.apply_kraus(keep, state);
-                        state = kept;
-                    }
+                        keep
+                    };
+                    state = dd.apply_kraus(branch, state).1;
                 }
             }
         }

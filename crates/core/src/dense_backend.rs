@@ -8,9 +8,10 @@
 //!
 //! Compilation resolves every gate to its concrete matrix once (no per-shot
 //! trigonometry) and snapshots the noise-channel operator tables; the
-//! execution context keeps two amplitude buffers — the live state and a
-//! scratch vector for the amplitude-damping branch probe — that are rewound
-//! in place between shots instead of being reallocated.
+//! execution context keeps one amplitude buffer that is rewound in place
+//! between shots instead of being reallocated. Amplitude damping reads its
+//! branch probability off the qubit's `|1>` weight and applies only the
+//! branch that fires ([`StateVector::apply_amplitude_damping`]).
 
 use qsdd_circuit::{Circuit, Operation};
 use qsdd_dd::Matrix2;
@@ -60,8 +61,6 @@ pub struct DenseProgram {
     channels: Vec<ErrorChannel>,
     /// `unitaries[channel][i]`: the channel's `i`-th unitary error matrix.
     unitaries: Vec<Vec<Matrix2>>,
-    /// `kraus[channel]`: the `[decay, keep]` Kraus pair, if any.
-    kraus: Vec<Option<[Matrix2; 2]>>,
     /// Whether every shot's error decisions are presampleable: no
     /// measurement or reset consumes randomness mid-shot, and every channel
     /// is state-independent (the dense back-end precomputes no damping
@@ -82,11 +81,10 @@ impl DenseProgram {
 }
 
 /// A reusable per-worker execution context for the dense back-end: the live
-/// amplitude buffer plus a damping scratch buffer, both rewound in place.
+/// amplitude buffer, rewound in place.
 #[derive(Clone, Debug)]
 pub struct DenseContext {
     state: StateVector,
-    scratch: StateVector,
     seated: u64,
     /// Fork-join pool for chunk-partitioned kernels; kept here so seating
     /// onto a different-width program (which reallocates the buffers) can
@@ -99,7 +97,6 @@ impl DenseContext {
     pub fn new() -> Self {
         DenseContext {
             state: StateVector::new(1),
-            scratch: StateVector::new(1),
             seated: 0,
             pool: None,
         }
@@ -111,7 +108,6 @@ impl DenseContext {
     /// serial execution.
     pub fn set_intra_pool(&mut self, pool: Option<std::sync::Arc<qsdd_dd::IntraPool>>) {
         self.state.set_intra_pool(pool.clone());
-        self.scratch.set_intra_pool(pool.clone());
         self.pool = pool;
     }
 
@@ -205,7 +201,6 @@ impl StochasticBackend for DenseSimulator {
             }
         }
         let unitaries = channels.iter().map(ErrorChannel::unitaries).collect();
-        let kraus = channels.iter().map(ErrorChannel::kraus_branches).collect();
         let dedupable = steps
             .iter()
             .all(|step| matches!(step, DenseStep::Gate { .. } | DenseStep::Swap { .. }))
@@ -218,7 +213,6 @@ impl StochasticBackend for DenseSimulator {
             steps,
             channels,
             unitaries,
-            kraus,
             dedupable,
         }
     }
@@ -270,17 +264,15 @@ impl StochasticBackend for DenseSimulator {
                             ctx.state.apply_single(qubit, &program.unitaries[index][u]);
                         }
                         SampledError::Kraus => {
-                            let branches = program.kraus[index]
-                                .as_ref()
-                                .expect("Kraus events only come from Kraus channels");
-                            apply_damping(
-                                &mut ctx.state,
-                                &mut ctx.scratch,
+                            // Amplitude damping: the branch probability is
+                            // the qubit's |1> weight times gamma, and only
+                            // the branch that fires is applied.
+                            let (_, decayed) = ctx.state.apply_amplitude_damping(
                                 qubit,
-                                branches,
-                                rng,
-                                &mut error_events,
+                                channel.probability(),
+                                rng.gen(),
                             );
+                            error_events += usize::from(decayed);
                         }
                     }
                 }
@@ -435,31 +427,6 @@ impl StochasticBackend for DenseSimulator {
                 sink(index as u64, probability);
             }
         }
-    }
-}
-
-/// Applies the state-dependent amplitude-damping channel: the decay branch
-/// fires with probability equal to the squared norm of `A0 |psi>`. The
-/// probe state is built in `scratch` (reusing its allocation) and swapped
-/// into place when the decay branch wins.
-fn apply_damping(
-    state: &mut StateVector,
-    scratch: &mut StateVector,
-    qubit: usize,
-    branches: &[Matrix2; 2],
-    rng: &mut StdRng,
-    error_events: &mut usize,
-) {
-    scratch.clone_from(state);
-    scratch.apply_single(qubit, &branches[0]);
-    let p_decay = scratch.norm_sqr();
-    if rng.gen::<f64>() < p_decay {
-        *error_events += 1;
-        scratch.normalize();
-        std::mem::swap(state, scratch);
-    } else {
-        state.apply_single(qubit, &branches[1]);
-        state.normalize();
     }
 }
 

@@ -251,7 +251,16 @@ impl std::fmt::Debug for IntraPool {
 
 impl Drop for IntraPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the queue lock: a worker checks it under the
+        // same lock before it waits, so it either sees the flag or is
+        // already waiting when the notification lands. Raised outside the
+        // lock, the store and the notification could both fall between a
+        // worker's check and its wait, and that worker (and `join` below)
+        // would block forever.
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -344,6 +353,25 @@ mod tests {
         // The pool stays usable after a propagated panic.
         let (a, b) = pool.join(|| 10, || 20);
         assert_eq!((a, b), (10, 20));
+    }
+
+    #[test]
+    fn dropping_fresh_pools_never_hangs() {
+        // Dropping a pool right after spawning it races the shutdown flag
+        // against workers that are just about to wait; a lost wakeup leaves
+        // the drop joining a sleeping worker forever. Run the churn on a
+        // helper thread so a hang fails the test instead of stalling it.
+        let (done, finished) = std::sync::mpsc::channel();
+        let churn = std::thread::spawn(move || {
+            for _ in 0..2000 {
+                drop(IntraPool::new(3));
+            }
+            done.send(()).expect("the test thread waits for the churn");
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("dropping an idle pool hung");
+        churn.join().expect("pool churn panicked");
     }
 
     #[test]

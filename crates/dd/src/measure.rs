@@ -387,6 +387,18 @@ impl DdPackage {
         (p, normalised)
     }
 
+    /// Probability that amplitude damping of strength `gamma` decays
+    /// `qubit`: `‖A0 v‖² = gamma · P(qubit = 1)` for a normalised `v`.
+    ///
+    /// This reads the decay branch's probability off the qubit's `|1>`
+    /// weight (the cached norm traversal of [`probability_one`]) instead of
+    /// building `A0 v`, so an exposure only builds the branch that fires.
+    ///
+    /// [`probability_one`]: Self::probability_one
+    pub fn decay_probability(&mut self, v: VecEdge, qubit: usize, gamma: f64) -> f64 {
+        gamma * self.probability_one(v, qubit)
+    }
+
     /// Allocation-free twin of [`vec_node_count`](Self::vec_node_count) for
     /// hot loops: marks visited nodes with a generation stamp in a reusable
     /// scratch buffer instead of a fresh hash set.
@@ -560,6 +572,7 @@ mod tests {
         assert!((p0 - p / 2.0).abs() < 1e-12);
         assert!((p1 - (1.0 - p / 2.0)).abs() < 1e-12);
         assert!((p0 + p1 - 1.0).abs() < 1e-12);
+        assert!((dd.decay_probability(bell, 0, p) - p0).abs() < 1e-12);
         // Branch 0 collapses to |01>.
         let v0 = dd.to_statevector(s0, 2);
         assert!((v0[1].abs() - 1.0).abs() < 1e-12);

@@ -133,7 +133,7 @@ unsafe fn swap_pairs(amps: *mut Complex, ma: usize, mb: usize, lo: usize, hi: us
 /// assert!((state.probability_of_index(0b00) - 0.5).abs() < 1e-12);
 /// assert!((state.probability_of_index(0b11) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct StateVector {
     num_qubits: usize,
     amplitudes: Vec<Complex>,
@@ -144,24 +144,6 @@ impl PartialEq for StateVector {
     // The pool is an execution detail, not part of the state's value.
     fn eq(&self, other: &Self) -> bool {
         self.num_qubits == other.num_qubits && self.amplitudes == other.amplitudes
-    }
-}
-
-impl Clone for StateVector {
-    fn clone(&self) -> Self {
-        StateVector {
-            num_qubits: self.num_qubits,
-            amplitudes: self.amplitudes.clone(),
-            pool: self.pool.clone(),
-        }
-    }
-
-    // Hand-rolled so per-shot scratch copies (e.g. the amplitude-damping
-    // branch probe) reuse their existing allocation.
-    fn clone_from(&mut self, source: &Self) {
-        self.num_qubits = source.num_qubits;
-        self.amplitudes.clone_from(&source.amplitudes);
-        self.pool.clone_from(&source.pool);
     }
 }
 
@@ -326,68 +308,80 @@ impl StateVector {
         });
     }
 
-    /// Sums `f(index, amplitude)` over all amplitudes by fixed chunks,
-    /// merging the per-chunk partial sums in chunk order. Serial and
-    /// pooled paths produce bit-identical results because the chunk
-    /// boundaries and both summation orders are independent of the pool.
-    fn chunked_sum(&self, f: impl Fn(usize, Complex) -> f64 + Sync) -> f64 {
-        let len = self.amplitudes.len();
+    /// Reduces the index range `0..len` by fixed [`CHUNK`]-wide chunks:
+    /// `chunk(lo, hi)` computes one partial, and the partials merge in
+    /// chunk order with `merge`. Serial and pooled paths produce
+    /// bit-identical results because the chunk boundaries and both
+    /// summation orders are independent of the pool.
+    fn chunked_reduce<T: Copy + Default + Send>(
+        &self,
+        len: usize,
+        chunk: impl Fn(usize, usize) -> T + Sync,
+        merge: impl Fn(T, T) -> T,
+    ) -> T {
         let chunks = len.div_ceil(CHUNK);
-        let mut partials = vec![0.0f64; chunks];
-        let amps = &self.amplitudes;
-        let sum_chunk = |c: usize| -> f64 {
+        let mut partials = vec![T::default(); chunks];
+        let reduce_chunk = |c: usize| {
             let lo = c * CHUNK;
-            let hi = (lo + CHUNK).min(len);
-            let mut acc = 0.0;
-            for (offset, a) in amps[lo..hi].iter().enumerate() {
-                acc += f(lo + offset, *a);
-            }
-            acc
+            chunk(lo, (lo + CHUNK).min(len))
         };
         match self.active_pool() {
             Some(pool) => {
                 let out = SendPtr(partials.as_mut_ptr());
                 pool.for_each_chunk(chunks, &|c| {
                     // SAFETY: each chunk index writes only its own slot.
-                    unsafe { *out.get().add(c) = sum_chunk(c) };
+                    unsafe { *out.get().add(c) = reduce_chunk(c) };
                 });
             }
             None => {
                 for (c, slot) in partials.iter_mut().enumerate() {
-                    *slot = sum_chunk(c);
+                    *slot = reduce_chunk(c);
                 }
             }
         }
-        partials.iter().sum()
+        partials.into_iter().fold(T::default(), merge)
     }
 
     /// Squared Euclidean norm of the state.
     pub fn norm_sqr(&self) -> f64 {
-        self.chunked_sum(|_, a| a.norm_sqr())
+        let amps = &self.amplitudes;
+        self.chunked_reduce(
+            amps.len(),
+            |lo, hi| amps[lo..hi].iter().fold(0.0, |acc, a| acc + a.norm_sqr()),
+            |a, b| a + b,
+        )
     }
 
-    /// Rescales the state to unit norm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is (numerically) zero.
-    pub fn normalize(&mut self) {
-        let norm = self.norm_sqr().sqrt();
-        assert!(norm > 0.0, "cannot normalise the zero vector");
-        for a in &mut self.amplitudes {
-            *a = a.scale(1.0 / norm);
-        }
+    /// The squared weights `(s0, s1)` of the `qubit = 0` and `qubit = 1`
+    /// halves of the state, in one pass over the amplitude pairs. Their
+    /// sum is the squared norm.
+    pub fn qubit_weights(&self, qubit: usize) -> (f64, f64) {
+        let mask = self.bit_mask(qubit);
+        let low = mask - 1;
+        let amps = &self.amplitudes;
+        self.chunked_reduce(
+            amps.len() >> 1,
+            |lo, hi| {
+                let (mut s0, mut s1) = (0.0, 0.0);
+                for p in lo..hi {
+                    let i = ((p & !low) << 1) | (p & low);
+                    s0 += amps[i].norm_sqr();
+                    s1 += amps[i | mask].norm_sqr();
+                }
+                (s0, s1)
+            },
+            |a, b| (a.0 + b.0, a.1 + b.1),
+        )
     }
 
     /// Probability of observing `|1>` on `qubit` (relative to the norm).
     pub fn probability_one(&self, qubit: usize) -> f64 {
-        let mask = self.bit_mask(qubit);
-        let p1 = self.chunked_sum(|i, a| if i & mask != 0 { a.norm_sqr() } else { 0.0 });
-        let total = self.norm_sqr();
+        let (s0, s1) = self.qubit_weights(qubit);
+        let total = s0 + s1;
         if total <= 0.0 {
             0.0
         } else {
-            (p1 / total).clamp(0.0, 1.0)
+            (s1 / total).clamp(0.0, 1.0)
         }
     }
 
@@ -404,33 +398,59 @@ impl StateVector {
         (self.amplitudes.len() - 1) as u64
     }
 
-    /// Projects onto `qubit = outcome` without renormalising; the squared
-    /// norm of the result is the outcome probability.
-    pub fn project(&mut self, qubit: usize, outcome: bool) {
-        let mask = self.bit_mask(qubit);
-        for (i, a) in self.amplitudes.iter_mut().enumerate() {
-            let bit = i & mask != 0;
-            if bit != outcome {
-                *a = Complex::ZERO;
-            }
-        }
+    /// Measures one qubit, collapsing the state, and returns the outcome.
+    ///
+    /// One weights pass picks the outcome; one pass applies the projector
+    /// pre-scaled by its renormalisation.
+    pub fn measure_qubit<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) -> bool {
+        self.collapse(qubit, rng, false)
     }
 
-    /// Measures one qubit, collapsing the state, and returns the outcome.
-    pub fn measure_qubit<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) -> bool {
-        let p1 = self.probability_one(qubit);
-        let outcome = rng.gen::<f64>() < p1;
-        self.project(qubit, outcome);
-        self.normalize();
+    /// Resets a qubit to `|0>`: measures it and, on outcome 1, moves the
+    /// `|1>` half onto `|0>` in the same pass as the projection.
+    pub fn reset_qubit<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) {
+        self.collapse(qubit, rng, true);
+    }
+
+    /// Measures `qubit` and renormalises in one pass; with `reset`, the
+    /// outcome-1 projector is followed by X (`X·Π1 = |0><1|`).
+    fn collapse<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R, reset: bool) -> bool {
+        let (s0, s1) = self.qubit_weights(qubit);
+        let outcome = rng.gen::<f64>() < s1 / (s0 + s1);
+        let matrix = match (outcome, reset) {
+            (false, _) => Matrix2::from_real(1.0 / s0.sqrt(), 0.0, 0.0, 0.0),
+            (true, false) => Matrix2::from_real(0.0, 0.0, 0.0, 1.0 / s1.sqrt()),
+            (true, true) => Matrix2::from_real(0.0, 1.0 / s1.sqrt(), 0.0, 0.0),
+        };
+        self.apply_single(qubit, &matrix);
         outcome
     }
 
-    /// Resets a qubit to `|0>` by measuring it and flipping when needed.
-    pub fn reset_qubit<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) {
-        let outcome = self.measure_qubit(qubit, rng);
-        if outcome {
-            self.apply_single(qubit, &Matrix2::pauli_x());
-        }
+    /// Resolves one amplitude-damping exposure of strength `gamma` on
+    /// `qubit` and returns `(p_decay, decayed)`.
+    ///
+    /// The decay branch `A0 = sqrt(gamma)|0><1|` has squared norm
+    /// `gamma * s1`, so its probability is read off the qubit's `|1>`
+    /// weight instead of being built: one [`qubit_weights`] pass, then one
+    /// pass applying only the chosen Kraus operator, pre-scaled by its
+    /// renormalisation. The decay branch fires when `draw < p_decay`
+    /// (`draw` uniform in `[0, 1)`). `p_decay` is taken relative to the
+    /// state's norm, so a certain decay (`gamma = 1`, `s0 = 0`) is exactly
+    /// 1 and the chosen branch never has zero norm.
+    ///
+    /// [`qubit_weights`]: Self::qubit_weights
+    pub fn apply_amplitude_damping(&mut self, qubit: usize, gamma: f64, draw: f64) -> (f64, bool) {
+        let (s0, s1) = self.qubit_weights(qubit);
+        let p_decay = gamma * s1 / (s0 + s1);
+        let decayed = draw < p_decay;
+        let branch = if decayed {
+            Matrix2::amplitude_damping_a0(gamma).scale(Complex::real(1.0 / (gamma * s1).sqrt()))
+        } else {
+            Matrix2::amplitude_damping_a1(gamma)
+                .scale(Complex::real(1.0 / (s0 + (1.0 - gamma) * s1).sqrt()))
+        };
+        self.apply_single(qubit, &branch);
+        (p_decay, decayed)
     }
 
     /// Re-expresses the state under a qubit relabeling.
@@ -622,8 +642,10 @@ mod tests {
     /// Runs the same non-trivial circuit with and without a pool on a
     /// state large enough to span several kernel chunks (17 qubits =
     /// 2^17 amplitudes = 8 chunks), then compares every amplitude and
-    /// both reductions bit for bit — the core determinism contract of
-    /// the intra-shot parallel kernels.
+    /// every reduction bit for bit — the core determinism contract of
+    /// the intra-shot parallel kernels. The circuit ends in damping
+    /// steps (both branches) and a reset, so the fused weights-plus-
+    /// scaled-projection paths are covered too.
     #[test]
     fn pooled_kernels_are_bit_identical_to_serial() {
         fn build(pool: Option<Arc<IntraPool>>) -> StateVector {
@@ -639,6 +661,9 @@ mod tests {
             s.apply_controlled(&[0, 8], 16, &Matrix2::ry(0.81));
             s.apply_swap(0, n - 1);
             s.apply_single(3, &Matrix2::u3(0.4, 1.1, -0.6));
+            assert!(s.apply_amplitude_damping(7, 0.3, 0.0).1);
+            assert!(!s.apply_amplitude_damping(2, 0.3, 0.99).1);
+            s.reset_qubit(11, &mut StdRng::seed_from_u64(7));
             s
         }
         let serial = build(None);
@@ -653,7 +678,23 @@ mod tests {
                 serial.probability_one(5).to_bits(),
                 pooled.probability_one(5).to_bits()
             );
+            for q in [0, 9, 16] {
+                let (a0, a1) = serial.qubit_weights(q);
+                let (b0, b1) = pooled.qubit_weights(q);
+                assert_eq!((a0.to_bits(), a1.to_bits()), (b0.to_bits(), b1.to_bits()));
+            }
         }
+    }
+
+    #[test]
+    fn qubit_weights_split_the_norm() {
+        let mut s = StateVector::new(3);
+        s.apply_single(1, &Matrix2::ry(2.0 * (0.3f64).sqrt().asin()));
+        s.apply_single(2, &Matrix2::hadamard());
+        let (s0, s1) = s.qubit_weights(1);
+        assert!((s0 - 0.7).abs() < 1e-12 && (s1 - 0.3).abs() < 1e-12);
+        let (s0, s1) = s.qubit_weights(0);
+        assert!((s0 - 1.0).abs() < 1e-12 && s1 == 0.0);
     }
 
     /// A 1-thread pool must behave exactly like no pool at all.
